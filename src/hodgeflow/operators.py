@@ -61,13 +61,15 @@ def _pack(entries: Iterable[tuple] | Mapping) -> tuple:
 
 
 class Operator:
-    __slots__ = ("atoms",)
+    # operators are immutable, so the index ``apply`` builds is cached per operator
+    __slots__ = ("atoms", "_apply_index")
 
     def __init__(
         self,
         atoms: Mapping[AtomKey, Fraction] | Iterable[tuple[AtomKey, Fraction]] = (),
         _clean: bool = False,
     ) -> None:
+        self._apply_index: dict[VarId | None, list] | None = None
         if _clean:
             self.atoms: dict[AtomKey, Fraction] = dict(atoms)
             return
@@ -228,68 +230,81 @@ class Operator:
 
     # -- action on series ---------------------------------------------------------
 
+    def _index(self) -> dict[VarId | None, list]:
+        """Atoms grouped by their first derivative variable (None: no derivative).
+
+        An atom can act on a monomial only if the monomial contains that
+        variable, so ``apply`` visits the None group and the groups of the
+        monomial's variables, each atom exactly once.  Each entry carries the
+        u, hbar and omega grades the atom adds.
+        """
+        index = self._apply_index
+        if index is None:
+            index = {}
+            for (params, mult, deriv), c in self.atoms.items():
+                gain = Monomial(mult, params)
+                _, u, h, w = gain.grade()
+                index.setdefault(deriv[0][0] if deriv else None, []).append(
+                    (u, h, w, deriv, dict(deriv), gain, c)
+                )
+            self._apply_index = index
+        return index
+
     def apply(self, s: Series) -> Series:
         trunc = s.trunc
         admits = trunc.admits
+        index = self._index()
+        free = index.get(None)
         out: dict[Monomial, Fraction] = {}
-        atoms = self.atoms.items()
         for mono, coeff in s.terms.items():
             var_d = dict(mono.vars)
-            for (params, mult, deriv), acoeff in atoms:
-                factor = coeff * acoeff
-                new_vars = None
-                ok = True
-                for v, k in deriv:
-                    e = var_d.get(v, 0)
-                    if e < k:
-                        ok = False
-                        break
-                    if new_vars is None:
-                        new_vars = dict(var_d)
-                    factor *= math.perm(e, k)
-                    if e == k:
-                        del new_vars[v]
+            _, mu, mh, mw = mono.grade()
+            lu = trunc.max_u_degree - mu
+            lh = trunc.max_hbar_degree - mh
+            lw = trunc.max_omega_weight - mw
+            groups = [index[v] for v in var_d if v in index]
+            if free:
+                groups.append(free)
+            for group in groups:
+                for u, h, w, deriv, deriv_d, gain, acoeff in group:
+                    if u > lu or h > lh or w > lw:
+                        continue
+                    weight = 1
+                    for v, k in deriv:
+                        e = var_d.get(v, 0)
+                        if e < k:
+                            break
+                        weight *= math.perm(e, k)
                     else:
-                        new_vars[v] = e - k
-                if not ok:
-                    continue
-                if new_vars is None:
-                    new_vars = dict(var_d)
-                for v, k in mult:
-                    new_vars[v] = new_vars.get(v, 0) + k
-                if params:
-                    new_params = dict(mono.params)
-                    for p, k in params:
-                        new_params[p] = new_params.get(p, 0) + k
-                    packed_params = tuple(sorted(new_params.items()))
-                else:
-                    packed_params = mono.params
-                new_mono = Monomial(tuple(sorted(new_vars.items())), packed_params)
-                if not admits(new_mono):
-                    continue
-                acc = out.get(new_mono)
-                if acc is None:
-                    out[new_mono] = factor
-                else:
-                    acc += factor
-                    if acc:
-                        out[new_mono] = acc
-                    else:
-                        del out[new_mono]
+                        if deriv:
+                            rest = []
+                            for v, e in mono.vars:
+                                k = deriv_d.get(v, 0)
+                                if e > k:
+                                    rest.append((v, e - k))
+                            new_mono = Monomial(tuple(rest), mono.params).mul(gain)
+                        else:
+                            new_mono = mono.mul(gain)
+                        if not admits(new_mono):
+                            continue
+                        factor = coeff * acoeff
+                        if weight != 1:
+                            factor *= weight
+                        acc = out.get(new_mono)
+                        if acc is None:
+                            out[new_mono] = factor
+                        else:
+                            acc += factor
+                            if acc:
+                                out[new_mono] = acc
+                            else:
+                                del out[new_mono]
         return Series(trunc, out, _clean=True)
 
     def _check_termination(self, trunc: Truncation) -> None:
         for (params, mult, deriv) in self.atoms:
-            weight = 0
-            for p, e in params:
-                k = p.kind
-                if k in ("u", "v", "hbar"):
-                    weight += e
-                elif k == "w":
-                    weight += (2 * p.index - 1) * e
-                elif k == "s":
-                    weight += p.index * e
-            if weight >= 1:
+            _, u, h, w = Monomial((), params).grade()
+            if u + h + w >= 1:
                 continue
             mult_deg = sum(e for _, e in mult)
             deriv_deg = sum(e for _, e in deriv)
@@ -339,11 +354,11 @@ class Operator:
         out: dict[AtomKey, Fraction] = {}
         for key, c in self.atoms.items():
             params, mult, deriv = key
-            m = Monomial((), params)
+            _, u, h, w = Monomial((), params).grade()
             if (
-                m.u_degree() > trunc.max_u_degree
-                or m.hbar_degree() > trunc.max_hbar_degree
-                or m.omega_weight() > trunc.max_omega_weight
+                u > trunc.max_u_degree
+                or h > trunc.max_hbar_degree
+                or w > trunc.max_omega_weight
             ):
                 continue
             if any(v.index > trunc.max_var_index for v, _ in mult):

@@ -349,7 +349,7 @@ def log_true_coefficient(stored: Series, offset: int, target: Monomial) -> Fract
     """
     trunc0 = stored.trunc
     k_max = trunc0.max_t_degree
-    target_h = Monomial(target.vars, target.params).hbar_degree()
+    target_h = target.grade()[2]
     big = trunc0.replace(
         max_hbar_degree=trunc0.max_hbar_degree + k_max * max(offset, 1) + target_h
     )

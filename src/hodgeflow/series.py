@@ -21,6 +21,7 @@ immutable.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -137,35 +138,31 @@ class Monomial(NamedTuple):
         return Monomial(tuple(sorted(vd.items())), tuple(sorted(pd.items())))
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if not other.vars and not other.params:
-            return self
-        if not self.vars and not self.params:
-            return other
-        return Monomial.build(
-            tuple(self.vars) + tuple(other.vars),
-            tuple(self.params) + tuple(other.params),
+        return Monomial(
+            _merge_exps(self.vars, other.vars), _merge_exps(self.params, other.params)
         )
 
-    def degree(self) -> int:
-        return sum(e for _, e in self.vars)
+    def grade(self) -> tuple[int, int, int, int]:
+        """(t-degree, u-degree, hbar-degree, omega-weight), the windowed grades.
 
-    def u_degree(self) -> int:
-        return sum(e for p, e in self.params if p.kind in ("u", "v"))
-
-    def hbar_degree(self) -> int:
-        return sum(e for p, e in self.params if p.kind == "hbar")
-
-    def omega_weight(self) -> int:
-        w = 0
+        Each grade adds under ``mul``; u and the multi-u family count together,
+        as do the w[l] (weight 2l-1) and s[n] (weight n) couplings.
+        """
+        deg = 0
+        for _, e in self.vars:
+            deg += e
+        u = h = w = 0
         for p, e in self.params:
-            if p.kind == "w":
+            k = p.kind
+            if k == "u" or k == "v":
+                u += e
+            elif k == "hbar":
+                h += e
+            elif k == "w":
                 w += (2 * p.index - 1) * e
-            elif p.kind == "s":
+            elif k == "s":
                 w += p.index * e
-        return w
-
-    def max_index(self) -> int:
-        return max((v.index for v, _ in self.vars), default=0)
+        return deg, u, h, w
 
     def render(self) -> str:
         parts = [p.render() + (f"^{e}" if e > 1 else "") for p, e in self.params]
@@ -174,6 +171,35 @@ class Monomial(NamedTuple):
 
 
 MONOMIAL_ONE = Monomial((), ())
+
+
+def _merge_exps(a: tuple, b: tuple) -> tuple:
+    """Product of two canonical ((id, exp), ...) tuples: a sorted merge."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ka, ea = a[i]
+        kb, eb = b[j]
+        if ka == kb:
+            out.append((ka, ea + eb))
+            i += 1
+            j += 1
+        elif ka < kb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    if i < la:
+        out.extend(a[i:])
+    elif j < lb:
+        out.extend(b[j:])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -204,26 +230,13 @@ class Truncation:
                 raise ValueError(f"{name} must be >= 0")
 
     def admits(self, m: Monomial) -> bool:
-        deg = 0
-        for v, e in m.vars:
+        for v, _ in m.vars:
             if v.index > self.max_var_index:
                 return False
-            deg += e
-        if deg > self.max_t_degree:
-            return False
-        u = h = w = 0
-        for p, e in m.params:
-            k = p.kind
-            if k == "u" or k == "v":
-                u += e
-            elif k == "hbar":
-                h += e
-            elif k == "w":
-                w += (2 * p.index - 1) * e
-            elif k == "s":
-                w += p.index * e
+        deg, u, h, w = m.grade()
         return (
-            u <= self.max_u_degree
+            deg <= self.max_t_degree
+            and u <= self.max_u_degree
             and h <= self.max_hbar_degree
             and w <= self.max_omega_weight
         )
@@ -345,16 +358,35 @@ class Series:
         )
 
     def mul(self, other: "Series") -> "Series":
+        """Truncated product visiting only pairs whose grades fit the window.
+
+        Every grade adds under products and the window bounds each one, so a
+        pair whose summed t-degree, u, hbar or omega grade exceeds its bound
+        can never be admitted; such pairs are skipped before any monomial is
+        built.  Survivors still pass through ``admits``.
+        """
         self._check_policy(other)
         if not self.terms or not other.terms:
             return Series.zero(self.trunc)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        admits = self.trunc.admits
+        tr = self.trunc
+        admits = tr.admits
+        # the larger factor by t-degree, so each term's partners are a prefix
+        graded = sorted(
+            (m.grade() + (m, c) for m, c in b.items()), key=lambda g: g[0]
+        )
+        degs = [g[0] for g in graded]
         out: dict[Monomial, Fraction] = {}
         for ma, ca in a.items():
-            for mb, cb in b.items():
+            da, ua, ha, wa = ma.grade()
+            lu = tr.max_u_degree - ua
+            lh = tr.max_hbar_degree - ha
+            lw = tr.max_omega_weight - wa
+            for _, ub, hb, wb, mb, cb in graded[: bisect_right(degs, tr.max_t_degree - da)]:
+                if ub > lu or hb > lh or wb > lw:
+                    continue
                 m = ma.mul(mb)
                 if not admits(m):
                     continue
@@ -404,7 +436,7 @@ class Series:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.terms == other.terms
+        return self.trunc == other.trunc and self.terms == other.terms
 
     def __hash__(self) -> int:  # pragma: no cover - Series is not meant as a key
         return hash(frozenset(self.terms.items()))

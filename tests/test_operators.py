@@ -1,9 +1,12 @@
 """Normal-ordered operator algebra: application, brackets, graded exponentials."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeflow.operators import (
     GradingError,
@@ -14,11 +17,15 @@ from hodgeflow.operators import (
 )
 from hodgeflow.series import (
     Monomial,
+    PARAM_HBAR,
     PARAM_U,
     Series,
     Truncation,
+    multi_u_param,
     omega_param,
+    q_var,
     random_series,
+    s_param,
     t_var,
 )
 
@@ -223,3 +230,97 @@ def test_pure_derivative_operators_commute():
 def test_render_normal_order():
     op = Operator.atom(-1, params={omega_param(1): 1}, mult=[t_var(0)], deriv=[t_var(1)])
     assert op.render() == "-1 * w[1] * t[0,0] d/dt[1,0]"
+
+
+# -- indexed apply against the naive loop over every (monomial, atom) pair -------
+
+VARS = [t_var(0), t_var(1), t_var(2, 1), q_var(3)]
+PARAMS = [PARAM_U, multi_u_param(1), PARAM_HBAR, omega_param(1), omega_param(2), s_param(3)]
+WINDOWS = [
+    Truncation(4, 3, 3, 2, 4),
+    Truncation(3, 2, 0, 0, 0),
+    Truncation(5, 3, 1, 1, 3),
+]
+
+
+def random_operator(rng: random.Random, count: int) -> Operator:
+    """Atoms with 0-2 parameters, multiplications and (possibly repeated) derivatives."""
+    op = Operator.zero()
+    for _ in range(count):
+        op = op.add(
+            Operator.atom(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                params=[(rng.choice(PARAMS), 1) for _ in range(rng.randint(0, 2))],
+                mult=[rng.choice(VARS) for _ in range(rng.randint(0, 2))],
+                deriv=[rng.choice(VARS) for _ in range(rng.randint(0, 2))],
+            )
+        )
+    return op
+
+
+def random_input(rng: random.Random, trunc: Truncation, count: int) -> Series:
+    terms = {}
+    for _ in range(count):
+        vars = [(rng.choice(VARS), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+        params = [(rng.choice(PARAMS), 1) for _ in range(rng.randint(0, 2))]
+        terms[Monomial.build(vars, params)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Series(trunc, terms)
+
+
+def naive_apply(op: Operator, s: Series) -> Series:
+    out: dict[Monomial, Fraction] = {}
+    for mono, coeff in s.terms.items():
+        for (params, mult, deriv), acoeff in op.atoms.items():
+            exps = dict(mono.vars)
+            if any(exps.get(v, 0) < k for v, k in deriv):
+                continue
+            factor = coeff * acoeff
+            for v, k in deriv:
+                factor *= math.perm(exps[v], k)
+                exps[v] -= k
+            for v, k in mult:
+                exps[v] = exps.get(v, 0) + k
+            m = Monomial.build(exps, mono.params + params)
+            out[m] = out.get(m, 0) + factor
+    return Series(s.trunc, out)
+
+
+@pytest.mark.parametrize("trunc", WINDOWS)
+def test_apply_matches_naive_reference(trunc):
+    rng = random.Random(repr(trunc))
+    for _ in range(10):
+        op = random_operator(rng, rng.randint(1, 12))
+        for _ in range(3):
+            s = random_input(rng, trunc, rng.randint(0, 25))
+            assert op.apply(s) == naive_apply(op, s)
+
+
+def test_apply_cancelling_atoms():
+    # (t0 d/dt0 - t1 d/dt1) t0 t1 = 0
+    op = Operator.atom(1, mult=[t_var(0)], deriv=[t_var(0)]).add(
+        Operator.atom(-1, mult=[t_var(1)], deriv=[t_var(1)])
+    )
+    assert op.apply(Series.of_monomial(TR, Monomial.build({t_var(0): 1, t_var(1): 1}))).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    small=st.builds(
+        Truncation,
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(0, 4),
+    ),
+    extra=st.tuples(*[st.integers(0, 2)] * 5),
+)
+def test_apply_window_consistency(seed, small, extra):
+    # the input lies in the small window: derivatives lower t-degree, so
+    # terms outside it could act into it
+    big = Truncation(*(b + e for b, e in zip(small.as_dict().values(), extra)))
+    rng = random.Random(seed)
+    op = random_operator(rng, 8)
+    s = random_input(rng, small, 15)
+    assert op.apply(s.truncated(big)).truncated(small) == op.apply(s)

@@ -1,19 +1,26 @@
 """Sparse series ring: exactness, truncation, and the substitution homomorphism."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeflow.series import (
     Monomial,
     PARAM_HBAR,
     PARAM_U,
+    PARAM_Z,
     Series,
     Truncation,
     TruncationError,
     exp_nilpotent,
+    multi_u_param,
+    omega_param,
     q_var,
     random_series,
+    s_param,
     t_var,
 )
 from hodgeflow.special import b_omega
@@ -169,3 +176,106 @@ def test_hbar_window():
 def test_truncation_validates_bounds():
     with pytest.raises(ValueError):
         Truncation(-1, 8, 6, 2, 4)
+
+
+def test_equality_compares_window():
+    s = Series.of_var(TR, t_var(0))
+    wide = s.truncated(TR.replace(max_t_degree=4))
+    assert wide.terms == s.terms
+    assert wide != s
+    assert wide.truncated(TR) == s
+
+
+# -- pruned product against the all-pairs reference ----------------------------
+
+VARS = [t_var(0), t_var(1, 1), t_var(3), q_var(1), q_var(2, 1), q_var(5)]
+PARAMS = [
+    PARAM_U,
+    multi_u_param(1),
+    multi_u_param(2),
+    PARAM_HBAR,
+    omega_param(1),
+    omega_param(2),
+    s_param(1),
+    s_param(3),
+    PARAM_Z,
+]
+WINDOWS = [
+    Truncation(3, 5, 3, 2, 4),
+    Truncation(4, 5, 0, 0, 0),
+    Truncation(2, 1, 4, 0, 0),
+    Truncation(2, 5, 0, 3, 0),
+    Truncation(2, 5, 1, 1, 6),
+]
+
+
+def graded_series(rng: random.Random, trunc: Truncation, count: int) -> Series:
+    """Random series over t/q variables and every kind of parameter; the
+    constructor drops what falls outside the window."""
+    terms = {}
+    for _ in range(count):
+        vars = [(rng.choice(VARS), 1) for _ in range(rng.randint(0, 3))]
+        params = [(rng.choice(PARAMS), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+        terms[Monomial.build(vars, params)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Series(trunc, terms)
+
+
+def all_pairs_mul(f: Series, g: Series) -> Series:
+    out: dict[Monomial, Fraction] = {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            m = Monomial.build(ma.vars + mb.vars, ma.params + mb.params)
+            out[m] = out.get(m, 0) + ca * cb
+    return Series(f.trunc, out)
+
+
+@pytest.mark.parametrize("trunc", WINDOWS)
+def test_mul_matches_all_pairs_reference(trunc):
+    rng = random.Random(repr(trunc))
+    for _ in range(8):
+        f = graded_series(rng, trunc, rng.randint(1, 40))
+        g = graded_series(rng, trunc, rng.randint(1, 40))
+        want = all_pairs_mul(f, g)
+        assert f.mul(g) == want
+        assert g.mul(f) == want
+    for special in (Series.zero(trunc), Series.one(trunc), Series.constant(trunc, Fraction(-2, 3))):
+        assert f.mul(special) == all_pairs_mul(f, special)
+        assert special.mul(f) == all_pairs_mul(special, f)
+
+
+def test_monomial_mul_matches_build():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = graded_series(rng, Truncation(9, 9, 9, 9, 99), 1)
+        b = graded_series(rng, Truncation(9, 9, 9, 9, 99), 1)
+        for ma in a.terms:
+            for mb in b.terms:
+                assert ma.mul(mb) == Monomial.build(ma.vars + mb.vars, ma.params + mb.params)
+
+
+windows = st.builds(
+    Truncation,
+    st.integers(0, 3),
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 4),
+)
+
+
+def widened(small: Truncation, extra: tuple[int, ...]) -> Truncation:
+    return Truncation(*(bound + more for bound, more in zip(small.as_dict().values(), extra)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    small=windows,
+    extra=st.tuples(*[st.integers(0, 2)] * 5),
+)
+def test_mul_window_consistency(seed, small, extra):
+    big = widened(small, extra)
+    rng = random.Random(seed)
+    f = graded_series(rng, big, 15)
+    g = graded_series(rng, big, 15)
+    assert f.mul(g).truncated(small) == f.truncated(small).mul(g.truncated(small))

@@ -93,7 +93,7 @@ def test_r_poly_is_coefficient_of_exp_b_omega():
 
 def test_r_poly_weight_homogeneous():
     for i in range(9):
-        assert all(m.omega_weight() == i for m in r_poly(i).terms)
+        assert all(m.grade()[3] == i for m in r_poly(i).terms)
 
 
 def test_c_const_against_direct_exponentiation():
