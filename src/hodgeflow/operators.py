@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice, product
 from typing import Iterable, Mapping
 
 from .report import Mismatch, Report, MAX_RECORDED_MISMATCHES
@@ -27,6 +28,7 @@ from .series import (
     Series,
     Truncation,
     VarId,
+    _merge_exps,
 )
 
 __all__ = [
@@ -60,6 +62,62 @@ def _pack(entries: Iterable[tuple] | Mapping) -> tuple:
     return tuple(sorted(d.items()))
 
 
+def _accumulate(out: dict, key: object, c: Fraction) -> None:
+    acc = out.get(key)
+    if acc is None:
+        out[key] = c
+    else:
+        acc += c
+        if acc:
+            out[key] = acc
+        else:
+            del out[key]
+
+
+def _without(exps: ExpTuple, taken: dict[VarId, int]) -> ExpTuple:
+    return tuple((v, e - taken.get(v, 0)) for v, e in exps if e > taken.get(v, 0))
+
+
+def _contractions(
+    left: "Operator", right: "Operator", out: dict[AtomKey, Fraction], sign: int
+) -> None:
+    """Add sign times the Leibniz terms of left . right that contract a derivative.
+
+    Moving d^a/dv^a past v^b gives sum_j C(a, j) P(b, j) v^(b-j) d^(a-j)/dv^(a-j);
+    every choice of j per shared variable other than all-zero is emitted here.
+    Only right atoms that multiply by one of a left atom's derivative
+    variables are visited, each once.
+    """
+    entries = []
+    by_var: dict[VarId, list[int]] = {}
+    for (pb, mb, db), cb in right.atoms.items():
+        for v, _ in mb:
+            by_var.setdefault(v, []).append(len(entries))
+        entries.append((pb, mb, dict(mb), db, cb))
+    if not by_var:
+        return
+    for (pa, ma, da), ca in left.atoms.items():
+        for i in dict.fromkeys(i for v, _ in da for i in by_var.get(v, ())):
+            pb, mb, mb_d, db, cb = entries[i]
+            shared = [(v, a, mb_d[v]) for v, a in da if v in mb_d]
+            params = _merge_exps(pa, pb)
+            base = ca * cb
+            counts = product(*(range(min(a, b) + 1) for _, a, b in shared))
+            for js in islice(counts, 1, None):
+                weight = sign
+                taken: dict[VarId, int] = {}
+                for (v, a, b), j in zip(shared, js):
+                    if j:
+                        weight *= math.comb(a, j) * math.perm(b, j)
+                        taken[v] = j
+                key = (
+                    params,
+                    _merge_exps(ma, _without(mb, taken)),
+                    _merge_exps(_without(da, taken), db),
+                )
+                _accumulate(out, key, base * weight)
+
+
 class Operator:
     # operators are immutable, so the index ``apply`` builds is cached per operator
     __slots__ = ("atoms", "_apply_index")
@@ -76,18 +134,8 @@ class Operator:
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
         clean: dict[AtomKey, Fraction] = {}
         for key, c in items:
-            if c == 0:
-                continue
-            acc = clean.get(key)
-            c = Fraction(c)
-            if acc is None:
-                clean[key] = c
-            else:
-                acc += c
-                if acc:
-                    clean[key] = acc
-                else:
-                    del clean[key]
+            if c:
+                _accumulate(clean, key, Fraction(c))
         self.atoms = clean
 
     # -- construction --------------------------------------------------------
@@ -116,15 +164,7 @@ class Operator:
     def add(self, other: "Operator") -> "Operator":
         out = dict(self.atoms)
         for key, c in other.atoms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                acc += c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+            _accumulate(out, key, c)
         return Operator(out, _clean=True)
 
     def neg(self) -> "Operator":
@@ -170,63 +210,21 @@ class Operator:
         out: dict[AtomKey, Fraction] = {}
         for (pa, ma, da), ca in self.atoms.items():
             for (pb, mb, db), cb in other.atoms.items():
-                base = ca * cb
-                params = _pack(tuple(pa) + tuple(pb))
-                # move the left derivatives through the right multiplications
-                mb_d = dict(mb)
-                shared = [v for v, _ in da if v in mb_d]
-                choices: list[list[tuple[int, Fraction, VarId]]] = []
-                for v in shared:
-                    a_e = dict(da)[v]
-                    b_e = mb_d[v]
-                    opts = []
-                    for j in range(0, min(a_e, b_e) + 1):
-                        w = Fraction(
-                            math.comb(a_e, j) * math.perm(b_e, j)
-                        )
-                        opts.append((j, w, v))
-                    choices.append(opts)
-
-                def emit(idx: int, factor: Fraction, taken: dict[VarId, int]) -> None:
-                    if idx == len(choices):
-                        new_mult = dict(ma)
-                        for v, e in mb:
-                            e2 = e - taken.get(v, 0)
-                            if e2:
-                                new_mult[v] = new_mult.get(v, 0) + e2
-                        new_deriv = dict(db)
-                        for v, e in da:
-                            e2 = e - taken.get(v, 0)
-                            if e2:
-                                new_deriv[v] = new_deriv.get(v, 0) + e2
-                        key = (
-                            params,
-                            tuple(sorted(new_mult.items())),
-                            tuple(sorted(new_deriv.items())),
-                        )
-                        acc = out.get(key)
-                        if acc is None:
-                            out[key] = base * factor
-                        else:
-                            acc += base * factor
-                            if acc:
-                                out[key] = acc
-                            else:
-                                del out[key]
-                        return
-                    for j, w, v in choices[idx]:
-                        if j:
-                            taken[v] = j
-                            emit(idx + 1, factor * w, taken)
-                            del taken[v]
-                        else:
-                            emit(idx + 1, factor, taken)
-
-                emit(0, Fraction(1), {})
+                key = (_merge_exps(pa, pb), _merge_exps(ma, mb), _merge_exps(da, db))
+                _accumulate(out, key, ca * cb)
+        _contractions(self, other, out, 1)
         return Operator(out, _clean=True)
 
     def commutator(self, other: "Operator") -> "Operator":
-        return self.compose(other).sub(other.compose(self))
+        """[self, other] from the contracted Leibniz terms alone.
+
+        The uncontracted part of a . b is the plain product of each atom pair,
+        which equals that of b . a, so it cancels and is never built.
+        """
+        out: dict[AtomKey, Fraction] = {}
+        _contractions(self, other, out, 1)
+        _contractions(other, self, out, -1)
+        return Operator(out, _clean=True)
 
     # -- action on series ---------------------------------------------------------
 
@@ -290,15 +288,7 @@ class Operator:
                         factor = coeff * acoeff
                         if weight != 1:
                             factor *= weight
-                        acc = out.get(new_mono)
-                        if acc is None:
-                            out[new_mono] = factor
-                        else:
-                            acc += factor
-                            if acc:
-                                out[new_mono] = acc
-                            else:
-                                del out[new_mono]
+                        _accumulate(out, new_mono, factor)
         return Series(trunc, out, _clean=True)
 
     def _check_termination(self, trunc: Truncation) -> None:
@@ -439,16 +429,18 @@ def zassenhaus_tail(
     Valid as the right exponent of exp(x + y) = exp(x) exp(tail) whenever the
     pair satisfies [x, y]-stability with abelian y-class.
     """
-    tail = Operator.zero()
+    tail: dict[AtomKey, Fraction] = {}
     term = y_op.truncate(trunc)
     n = 1
     while not term.is_zero():
         if n > max_depth:
             raise GradingError("ad-tower did not die out within the window")
-        tail = tail.add(term.scale(Fraction((-1) ** (n - 1), math.factorial(n))))
+        factor = Fraction((-1) ** (n - 1), math.factorial(n))
+        for key, c in term.atoms.items():
+            _accumulate(tail, key, c * factor)
         term = x_op.commutator(term).truncate(trunc)
         n += 1
-    return tail
+    return Operator(tail, _clean=True)
 
 
 def verify_zassenhaus_factorization(

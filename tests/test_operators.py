@@ -1,5 +1,6 @@
 """Normal-ordered operator algebra: application, brackets, graded exponentials."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hodgeflow.operators import (
     verify_zassenhaus_factorization,
     zassenhaus_tail,
 )
+from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
 from hodgeflow.series import (
     Monomial,
     PARAM_HBAR,
@@ -28,6 +30,7 @@ from hodgeflow.series import (
     s_param,
     t_var,
 )
+from hodgeflow.virasoro import build_virasoro
 
 TR = Truncation(3, 8, 6, 2, 4)
 
@@ -324,3 +327,158 @@ def test_apply_window_consistency(seed, small, extra):
     op = random_operator(rng, 8)
     s = random_input(rng, small, 15)
     assert op.apply(s.truncated(big)).truncated(small) == op.apply(s)
+
+
+# -- commutator from contractions against the compose-based formula -------------
+
+
+def naive_compose(a: Operator, b: Operator) -> Operator:
+    """Leibniz product over every contraction choice, zero included."""
+    out: dict = {}
+    for (pa, ma, da), ca in a.atoms.items():
+        for (pb, mb, db), cb in b.atoms.items():
+            mb_d = dict(mb)
+            shared = [(v, e, mb_d[v]) for v, e in da if v in mb_d]
+            for js in itertools.product(*(range(min(x, y) + 1) for _, x, y in shared)):
+                weight = 1
+                mult, deriv = dict(ma), dict(db)
+                taken = {}
+                for (v, x, y), j in zip(shared, js):
+                    weight *= math.comb(x, j) * math.perm(y, j)
+                    taken[v] = j
+                for v, e in mb:
+                    mult[v] = mult.get(v, 0) + e - taken.get(v, 0)
+                for v, e in da:
+                    deriv[v] = deriv.get(v, 0) + e - taken.get(v, 0)
+                params = dict(pa)
+                for p, e in pb:
+                    params[p] = params.get(p, 0) + e
+                key = (
+                    tuple(sorted(params.items())),
+                    tuple(sorted((v, e) for v, e in mult.items() if e)),
+                    tuple(sorted((v, e) for v, e in deriv.items() if e)),
+                )
+                out[key] = out.get(key, 0) + ca * cb * weight
+    return Operator(out)
+
+
+def random_power_operator(rng: random.Random, count: int, names: list) -> Operator:
+    """Atoms with exponents up to 3 on multiplications and derivatives."""
+
+    def powers() -> list:
+        return [v for v in rng.sample(names, rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+
+    op = Operator.zero()
+    for _ in range(count):
+        op = op.add(
+            Operator.atom(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                params=[(rng.choice(PARAMS[:3]), 1) for _ in range(rng.randint(0, 2))],
+                mult=powers(),
+                deriv=powers(),
+            )
+        )
+    return op
+
+
+def test_commutator_matches_compose_difference():
+    rng = random.Random(11)
+    for _ in range(40):
+        a = random_power_operator(rng, rng.randint(1, 6), VARS)
+        b = random_power_operator(rng, rng.randint(1, 6), VARS)
+        assert a.compose(b) == naive_compose(a, b)
+        assert a.commutator(b) == a.compose(b).sub(b.compose(a))
+
+
+def test_commutator_contracts_high_exponents_on_both_sides():
+    # [d^3/dt0^3 u, t0^2 hbar d/dt1]: j = 1, 2 with C(3, j) P(2, j) = 6, 6
+    a = Operator.atom(1, params={PARAM_U: 1}, deriv=[t_var(0)] * 3)
+    b = Operator.atom(1, params={PARAM_HBAR: 1}, mult=[t_var(0)] * 2, deriv=[t_var(1)])
+    uh = {PARAM_U: 1, PARAM_HBAR: 1}
+    want = Operator.atom(6, uh, mult=[t_var(0)], deriv=[t_var(0), t_var(0), t_var(1)]).add(
+        Operator.atom(6, uh, deriv=[t_var(0), t_var(1)])
+    )
+    assert a.commutator(b) == want == a.compose(b).sub(b.compose(a))
+
+
+def test_commutator_without_shared_variable_is_zero():
+    rng = random.Random(5)
+    for _ in range(10):
+        a = random_power_operator(rng, 4, VARS[:2])
+        b = random_power_operator(rng, 4, VARS[2:])
+        assert a.commutator(b).is_zero()
+        assert a.compose(b) == b.compose(a)
+
+
+def test_commutator_exactly_zero():
+    # t0 d/dt0 + t1 d/dt1 (the Euler operator) commutes with t0 t1 d^2/dt0 dt1
+    euler = Operator.atom(1, mult=[t_var(0)], deriv=[t_var(0)]).add(
+        Operator.atom(1, mult=[t_var(1)], deriv=[t_var(1)])
+    )
+    other = Operator.atom(
+        3, params={PARAM_U: 2}, mult=[t_var(0), t_var(1)], deriv=[t_var(0), t_var(1)]
+    )
+    assert euler.commutator(other).is_zero()
+    assert not euler.compose(other).is_zero()
+
+
+# -- the ad-tower and truncate under a wider u/hbar window ------------------------
+
+U_HBAR_NARROWING = dict(
+    u=st.integers(0, 5),
+    hbar=st.integers(0, 2),
+    extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+def _u_hbar_windows(index: int, u: int, hbar: int, extra: tuple) -> tuple:
+    narrow = Truncation(2, index, u, hbar, 0)
+    return narrow, Truncation(2, index, u + extra[0], hbar + extra[1], 0)
+
+
+def random_shift_pair(rng: random.Random, index: int) -> tuple:
+    """u-weighted variable-shift family x and u/hbar-weighted pure derivatives y."""
+    x = y = Operator.zero()
+    for _ in range(rng.randint(2, 5)):
+        i = rng.randint(0, index - 1)
+        x = x.add(
+            Operator.atom(
+                rng.randint(-3, 3) or 1,
+                params={PARAM_U: rng.randint(0, 2)},
+                mult=[t_var(i)],
+                deriv=[t_var(rng.randint(i + 1, index))],
+            )
+        )
+        y = y.add(
+            Operator.atom(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                params={PARAM_U: rng.randint(0, 3), PARAM_HBAR: rng.randint(0, 2)},
+                deriv=[t_var(rng.randint(0, index)) for _ in range(rng.randint(1, 2))],
+            )
+        )
+    return x, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), **U_HBAR_NARROWING)
+def test_zassenhaus_tail_window_consistency_random_pairs(seed, u, hbar, extra):
+    narrow, wide = _u_hbar_windows(3, u, hbar, extra)
+    rng = random.Random(seed)
+    x, y = random_shift_pair(rng, 3)
+    assert zassenhaus_tail(x, y, wide).truncate(narrow) == zassenhaus_tail(x, y, narrow)
+    op = random_power_operator(rng, 8, VARS)
+    assert op.truncate(wide).truncate(narrow) == op.truncate(narrow)
+
+
+@pytest.fixture(scope="module", params=["point", "hyperbolic2"])
+def wide_bundle(request):
+    pairing = point_pairing() if request.param == "point" else hyperbolic2_pairing()
+    return build_virasoro(pairing, Truncation(2, 8, 7, 4, 0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(**U_HBAR_NARROWING)
+def test_zassenhaus_tail_window_consistency_virasoro(wide_bundle, u, hbar, extra):
+    narrow, wide = _u_hbar_windows(8, u, hbar, extra)
+    x, y = wide_bundle.x_plus, wide_bundle.y_plus
+    assert zassenhaus_tail(x, y, wide).truncate(narrow) == zassenhaus_tail(x, y, narrow)

@@ -1,5 +1,6 @@
 """Raising operators: brackets, the u-weighted split, and the closed raise formula."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,16 @@ def test_virasoro_split_small():
     for pairing in (PT, H2):
         b = build_virasoro(pairing, Truncation(2, 6, 4, 2, 0))
         assert verify_virasoro_split(b).passed
+
+
+@pytest.mark.parametrize("pairing", [PT, H2], ids=["point", "hyperbolic2"])
+def test_virasoro_split_fails_on_perturbed_tower(pairing):
+    b = build_virasoro(pairing, Truncation(2, 6, 4, 2, 0))
+    key, _ = b.q_plus.sorted_atoms()[0]
+    broken = b.q_plus.add(Operator({key: Fraction(1)}))
+    r = verify_virasoro_split(dataclasses.replace(b, q_plus=broken))
+    assert not r.passed
+    assert r.mismatches and r.mismatches[0].monomial.startswith("split")
 
 
 def test_split_reduces_to_x_plus_on_hbar_free_slice():
