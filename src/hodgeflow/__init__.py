@@ -5,7 +5,7 @@ truncation windows; every "verify" function compares both sides of an identity
 coefficient by coefficient with zero tolerance.
 """
 
-from .rationals import Rational, bernoulli, binomial, odd_double_factorial
+from .rationals import bernoulli, binomial, odd_double_factorial
 from .series import (
     Monomial,
     ParamId,

@@ -8,7 +8,6 @@ import sys
 from pathlib import Path
 
 from .pipeline import ALL_SUITES, VerificationConfig, run_suite
-from .rationals import rational_str
 from .special import c_const, r_poly, solve_a_coeffs
 from .witten import correlator_dimension_ok, intersection
 
@@ -50,8 +49,8 @@ def _emit_reports(reports, fmt: str) -> int:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     a = solve_a_coeffs(args.count_a)
-    a_table = {str(m): rational_str(v) for m, v in enumerate(a, start=1)}
-    c_table = {str(i): rational_str(c_const(i)) for i in range(args.count_c + 1)}
+    a_table = {str(m): str(v) for m, v in enumerate(a, start=1)}
+    c_table = {str(i): str(c_const(i)) for i in range(args.count_c + 1)}
     r_table = {str(i): r_poly(i).render() for i in range(args.count_r + 1)}
     if args.out:
         out = Path(args.out)
@@ -105,7 +104,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     continue
                 value = intersection(g, ks)
                 if value:
-                    rows.append({"g": g, "ks": list(ks), "value": rational_str(value)})
+                    rows.append({"g": g, "ks": list(ks), "value": str(value)})
     print(json.dumps(rows, indent=2))
     return 0
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .operators import Operator
+from .operators import Operator, first_mismatch
 from .pairing import Pairing
 from .rationals import bernoulli
 from .report import MAX_RECORDED_MISMATCHES, Mismatch, Report
@@ -253,7 +253,7 @@ def instantiate_omega(
     if isinstance(obj, Series):
         trunc = obj.trunc if trunc is None else trunc
         rule = omega_instantiation_rule(_omega_levels(obj), mode, trunc, k)
-        return obj.substitute_params(rule)
+        return obj.substitute(rule)
     if trunc is None:
         raise ValueError("operator instantiation needs an explicit truncation")
     rule = omega_instantiation_rule(_omega_levels(obj), mode, trunc, k)
@@ -320,16 +320,6 @@ def hat_t(n: int, alpha: int, trunc: Truncation) -> Series:
     return out
 
 
-def _first_mismatch(tag: str, lhs: Series, rhs: Series) -> Mismatch:
-    diff = lhs.sub(rhs)
-    bad = diff.sorted_terms()[0][0]
-    return Mismatch(
-        monomial=f"{tag} at {bad.render()}",
-        lhs=str(lhs.coefficient(bad)),
-        rhs=str(rhs.coefficient(bad)),
-    )
-
-
 def verify_w_factorization(
     pairing: Pairing,
     trunc: Truncation,
@@ -365,12 +355,12 @@ def verify_w_factorization(
         lhs = whole.exp_apply(start)
         rhs1 = exp_chain(start, [shift, q_half, p_shift])
         if rhs1 != lhs:
-            mismatches.append(_first_mismatch(f"q.p order . {mono.render()}", lhs, rhs1))
+            mismatches.append(first_mismatch(f"q.p order . {mono.render()}", lhs, rhs1))
         else:
             rhs2 = exp_chain(start, [shift, p_shift, q_half])
             if rhs2 != lhs:
                 mismatches.append(
-                    _first_mismatch(f"p.q order . {mono.render()}", lhs, rhs2)
+                    first_mismatch(f"p.q order . {mono.render()}", lhs, rhs2)
                 )
         if len(mismatches) >= MAX_RECORDED_MISMATCHES:
             break
@@ -417,7 +407,7 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
             closed = hat_t(n, a, trunc)
             if via_ops != closed:
                 mismatches.append(
-                    _first_mismatch(f"coordinate shift t[{n},{a}]", via_ops, closed)
+                    first_mismatch(f"coordinate shift t[{n},{a}]", via_ops, closed)
                 )
     # (b) compare per z-power and color
     for n in range(0, n_max + 1):
@@ -435,7 +425,7 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
                 rhs = rhs.add(factor.mul(bracket))
             if lhs != rhs:
                 mismatches.append(
-                    _first_mismatch(f"z-series column (n={n}, a={a})", lhs, rhs)
+                    first_mismatch(f"z-series column (n={n}, a={a})", lhs, rhs)
                 )
     return Report(
         identity="hat-t",

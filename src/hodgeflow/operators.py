@@ -28,7 +28,10 @@ from .series import (
     Series,
     Truncation,
     VarId,
+    _accumulate,
     _merge_exps,
+    _pack,
+    basis_monomials,
 )
 
 __all__ = [
@@ -36,6 +39,7 @@ __all__ = [
     "GradingError",
     "OperatorClassError",
     "zassenhaus_tail",
+    "first_mismatch",
     "verify_zassenhaus_factorization",
 ]
 
@@ -50,28 +54,6 @@ class GradingError(ValueError):
 
 class OperatorClassError(ValueError):
     """Operator is outside the Lie-algebra class a construction requires."""
-
-
-def _pack(entries: Iterable[tuple] | Mapping) -> tuple:
-    d: dict = {}
-    for k, e in dict(entries).items() if isinstance(entries, Mapping) else entries:
-        if e:
-            d[k] = d.get(k, 0) + e
-    if any(e < 0 for e in d.values()):
-        raise ValueError("multiplicities must be positive")
-    return tuple(sorted(d.items()))
-
-
-def _accumulate(out: dict, key: object, c: Fraction) -> None:
-    acc = out.get(key)
-    if acc is None:
-        out[key] = c
-    else:
-        acc += c
-        if acc:
-            out[key] = acc
-        else:
-            del out[key]
 
 
 def _without(exps: ExpTuple, taken: dict[VarId, int]) -> ExpTuple:
@@ -181,16 +163,15 @@ class Operator:
         value = Fraction(value)
         if value == 0:
             return Operator.zero()
+        # the same extra exponents keep distinct atoms distinct: nothing merges
         extra = _pack(extra_params)
-        if not extra:
-            return Operator(
-                {k: c * value for k, c in self.atoms.items()}, _clean=True
-            )
-        out: dict[AtomKey, Fraction] = {}
-        for (params, mult, deriv), c in self.atoms.items():
-            merged = _pack(tuple(params) + extra)
-            out[(merged, mult, deriv)] = out.get((merged, mult, deriv), Fraction(0)) + c * value
-        return Operator(out)
+        return Operator(
+            {
+                (_merge_exps(params, extra), mult, deriv): c * value
+                for (params, mult, deriv), c in self.atoms.items()
+            },
+            _clean=True,
+        )
 
     def is_zero(self) -> bool:
         return not self.atoms
@@ -307,7 +288,7 @@ class Operator:
                     continue
             raise GradingError(
                 "atom with no strict gain in any windowed grading: "
-                f"{Operator({(params, mult, deriv): Fraction(1)}).render()}"
+                + _render_atom((params, mult, deriv))
             )
 
     def exp_apply(self, s: Series) -> Series:
@@ -364,15 +345,12 @@ class Operator:
         self, rule: Mapping[ParamId, Series], trunc: Truncation
     ) -> "Operator":
         """Replace formal parameters in every atom (replacements parameter-only)."""
-        out = Operator.zero()
+        out: dict[AtomKey, Fraction] = {}
         for (params, mult, deriv), c in self.atoms.items():
             carrier = Series.of_monomial(trunc, Monomial((), params), c)
-            replaced = carrier.substitute_params(rule)
-            for m, cc in replaced.terms.items():
-                out = out.add(
-                    Operator({(m.params, mult, deriv): cc})
-                )
-        return out
+            for m, cc in carrier.substitute(rule).terms.items():
+                _accumulate(out, (m.params, mult, deriv), cc)
+        return Operator(out, _clean=True)
 
     # -- shape queries ------------------------------------------------------------
 
@@ -406,19 +384,45 @@ class Operator:
     def render(self) -> str:
         if not self.atoms:
             return "0"
-        chunks = []
-        for (params, mult, deriv), c in self.sorted_atoms():
-            bits = [str(c)]
-            bits += [p.render() + (f"^{e}" if e > 1 else "") for p, e in params]
-            bits += [v.render() + (f"^{e}" if e > 1 else "") for v, e in mult]
-            body = " * ".join(bits)
-            for v, e in deriv:
-                body += f" d/d{v.render()}" + (f"^{e}" if e > 1 else "")
-            chunks.append(body)
-        return "  +  ".join(chunks)
+        return "  +  ".join(_render_atom(key, c) for key, c in self.sorted_atoms())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator({self.render()})"
+
+
+def _render_atom(key: AtomKey, coeff: Fraction | None = None) -> str:
+    """One atom as "coeff * params * mults d/d..."; without coeff, its name."""
+    params, mult, deriv = key
+    bits = [] if coeff is None else [str(coeff)]
+    bits += [p.render() + (f"^{e}" if e > 1 else "") for p, e in params]
+    bits += [v.render() + (f"^{e}" if e > 1 else "") for v, e in mult]
+    body = " * ".join(bits)
+    for v, e in deriv:
+        body += f" d/d{v.render()}" + (f"^{e}" if e > 1 else "")
+    return body.lstrip()
+
+
+def first_mismatch(
+    tag: str, lhs: Series | Operator, rhs: Series | Operator
+) -> Mismatch:
+    """The first monomial or atom, in sorted order, where two unequal sides differ.
+
+    The sides are two Series or two Operators; the mismatch reads
+    "{tag} at {monomial or atom}" with the coefficient on each side.
+    """
+    if isinstance(lhs, Series):
+        left, right, render = lhs.terms, rhs.terms, Monomial.render
+    else:
+        left, right, render = lhs.atoms, rhs.atoms, _render_atom
+    zero = Fraction(0)
+    bad = min(
+        k for k in left.keys() | right.keys() if left.get(k, zero) != right.get(k, zero)
+    )
+    return Mismatch(
+        monomial=f"{tag} at {render(bad)}",
+        lhs=str(left.get(bad, zero)),
+        rhs=str(right.get(bad, zero)),
+    )
 
 
 def zassenhaus_tail(
@@ -457,8 +461,6 @@ def verify_zassenhaus_factorization(
     Preconditions (checked): x is a variable-shift family, y is pure-derivative
     of order <= 2, and [x, y] stays pure-derivative (abelian class).
     """
-    from .series import basis_monomials
-
     if not x_op.is_var_shift_family():
         raise OperatorClassError("left factor must be a variable-shift family")
     if not (y_op.is_zero() or y_op.is_pure_derivative(max_order=2)):
@@ -478,15 +480,7 @@ def verify_zassenhaus_factorization(
         lhs = whole.exp_apply(start)
         rhs = x_op.exp_apply(tail.exp_apply(start))
         if lhs != rhs:
-            diff = lhs.sub(rhs)
-            for bad, _ in diff.sorted_terms()[:1]:
-                mismatches.append(
-                    Mismatch(
-                        monomial=f"exp(...) . {mono.render()} at {bad.render()}",
-                        lhs=str(lhs.coefficient(bad)),
-                        rhs=str(rhs.coefficient(bad)),
-                    )
-                )
+            mismatches.append(first_mismatch(f"exp(...) . {mono.render()}", lhs, rhs))
             if len(mismatches) >= MAX_RECORDED_MISMATCHES:
                 break
     return Report(

@@ -79,9 +79,17 @@ def pairing_from_spec(spec: str) -> Pairing:
         return point_pairing()
     if spec == "hyperbolic2":
         return hyperbolic2_pairing()
-    with open(spec, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    eta = data["eta"]
-    if "rank" in data and len(eta) != data["rank"]:
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read pairing file {spec}: {exc.strerror}") from exc
+    if not isinstance(data, dict) or "eta" not in data:
+        raise ValueError('pairing file needs a JSON object with an "eta" matrix')
+    try:
+        pairing = Pairing(data.get("name", spec), data["eta"])
+    except TypeError as exc:
+        raise ValueError(f"eta must be a list of rows of rationals: {exc}") from exc
+    if "rank" in data and pairing.rank != data["rank"]:
         raise ValueError("declared rank does not match the eta matrix")
-    return Pairing(data.get("name", spec), eta)
+    return pairing

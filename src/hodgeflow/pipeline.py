@@ -9,17 +9,21 @@ after; that separation is exactly what the bridge identity certifies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .hodge import (
     build_p_u,
     build_shift_u,
     build_w_u,
     theta_map,
+    verify_hat_t,
+    verify_w_factorization,
 )
-from .operators import Operator, OperatorClassError
-from .pairing import Pairing, point_pairing
+from .operators import Operator, OperatorClassError, first_mismatch
+from .pairing import Pairing, pairing_from_spec, point_pairing
 from .rationals import odd_double_factorial
 from .report import MAX_RECORDED_MISMATCHES, Mismatch, Report, combine_reports
 from .series import (
@@ -31,6 +35,7 @@ from .series import (
     Series,
     Truncation,
     TruncationError,
+    _accumulate,
     q_var,
     random_series,
     t_var,
@@ -52,7 +57,6 @@ from .virasoro import (
     verify_virasoro_split,
 )
 from .witten import default_hbar_offset, z_point
-from . import hodge as _hodge
 
 __all__ = [
     "SubstitutionPlan",
@@ -104,12 +108,7 @@ def u_zero_substitute(s: Series) -> Series:
                 raise TruncationError("q-index 2k+1 exceeds the window")
             factor *= Fraction(odd_double_factorial(v.index)) ** e
             new_vars.append((q_var(2 * v.index + 1, v.color), e))
-        mono = Monomial(tuple(sorted(new_vars)), m.params)
-        acc = out.get(mono, Fraction(0)) + c * factor
-        if acc:
-            out[mono] = acc
-        elif mono in out:
-            del out[mono]
+        _accumulate(out, Monomial(tuple(sorted(new_vars)), m.params), c * factor)
     return Series(trunc, out, _clean=True)
 
 
@@ -143,36 +142,22 @@ def to_q_world(op: Operator, trunc: Truncation) -> Operator:
 
     d/dt[k,a] -> 1/(2k-1)!! d/dq[2k+1,a].  Indices beyond the window drop.
     """
-    out = Operator.zero()
+    out: dict = {}
     for (params, mult, deriv), c in op.atoms.items():
         if mult:
             raise OperatorClassError("q-world transport needs pure-derivative atoms")
         factor = Fraction(1)
         new_deriv = []
-        ok = True
         for v, e in deriv:
             if v.kind != "t":
                 raise OperatorClassError("q-world transport expects t-derivatives")
             if 2 * v.index + 1 > trunc.max_var_index:
-                ok = False
                 break
             factor /= Fraction(odd_double_factorial(v.index)) ** e
             new_deriv.append((q_var(2 * v.index + 1, v.color), e))
-        if not ok:
-            continue
-        out = out.add(
-            Operator({(params, (), tuple(sorted(new_deriv))): c * factor})
-        )
-    return out
-
-
-def _diff_mismatch(tag: str, lhs: Series, rhs: Series) -> Mismatch:
-    bad = lhs.sub(rhs).sorted_terms()[0][0]
-    return Mismatch(
-        monomial=f"{tag} at {bad.render()}",
-        lhs=str(lhs.coefficient(bad)),
-        rhs=str(rhs.coefficient(bad)),
-    )
+        else:
+            _accumulate(out, (params, (), tuple(sorted(new_deriv))), c * factor)
+    return Operator(out, _clean=True)
 
 
 def verify_substitution_bridge(
@@ -207,7 +192,7 @@ def verify_substitution_bridge(
             cases += 1
             lhs, rhs = bridge_pair(Series.of_var(trunc, t_var(n, a)))
             if lhs != rhs:
-                mismatches.append(_diff_mismatch(f"bridge t[{n},{a}]", lhs, rhs))
+                mismatches.append(first_mismatch(f"bridge t[{n},{a}]", lhs, rhs))
     max_random_index = (trunc.max_var_index - 1) // 2
     pool = [
         t_var(i, a) for i in range(max_random_index + 1) for a in pairing.colors()
@@ -223,7 +208,9 @@ def verify_substitution_bridge(
         ).truncated(trunc)
         lhs, rhs = bridge_pair(g)
         if lhs != rhs:
-            mismatches.append(_diff_mismatch(f"bridge random seed={seed + i}", lhs, rhs))
+            mismatches.append(
+                first_mismatch(f"bridge random seed={seed + i}", lhs, rhs)
+            )
         if len(mismatches) >= MAX_RECORDED_MISMATCHES:
             break
     return Report(
@@ -249,15 +236,7 @@ def verify_kernel_match(
     transported = to_q_world(theta_map(q_u(trunc), pairing, trunc), trunc)
     mismatches: list[Mismatch] = []
     if transported != bundle.q_plus_odd:
-        diff = transported.sub(bundle.q_plus_odd)
-        for key, c in diff.sorted_atoms()[:MAX_RECORDED_MISMATCHES]:
-            mismatches.append(
-                Mismatch(
-                    monomial=f"kernel atom {Operator({key: Fraction(1)}).render()}",
-                    lhs=str(transported.atoms.get(key, 0)),
-                    rhs=str(bundle.q_plus_odd.atoms.get(key, 0)),
-                )
-            )
+        mismatches.append(first_mismatch("kernel", transported, bundle.q_plus_odd))
     return Report(
         identity="kernel-match",
         pairing=pairing.name,
@@ -288,13 +267,7 @@ def verify_theta_recoloring(
                 to_q_world(theta_map(xy, pt, trunc), trunc), pairing
             )
             if colored != recolored:
-                mismatches.append(
-                    Mismatch(
-                        monomial=f"x^{i} y^{j}",
-                        lhs=colored.render(),
-                        rhs=recolored.render(),
-                    )
-                )
+                mismatches.append(first_mismatch(f"x^{i} y^{j}", colored, recolored))
     return Report(
         identity="theta-recoloring",
         pairing=pairing.name,
@@ -328,7 +301,7 @@ def verify_hodge_to_gw(
     rhs = bundle.l_weighted.exp_apply(u_zero_substitute(z))
     mismatches: list[Mismatch] = []
     if lhs != rhs:
-        mismatches.append(_diff_mismatch("main identity", lhs, rhs))
+        mismatches.append(first_mismatch("main identity", lhs, rhs))
     return Report(
         identity=label,
         pairing=pairing.name,
@@ -374,16 +347,165 @@ def log_true_coefficient(stored: Series, offset: int, target: Monomial) -> Fract
 # -- suite runner ------------------------------------------------------------
 
 
-ALL_SUITES = (
-    "constants",
-    "w-factorization",
-    "hat-t",
-    "brackets",
-    "virasoro-split",
-    "ex-closed-form",
-    "bridge",
-    "theorem",
-)
+# Every suite takes (pairing, window, seed, bundle), where bundle() returns the
+# run's one Virasoro bundle, built on first use, and returns its reports.
+Bundle = Callable[[], VirasoroBundle]
+
+
+def _constants_suite(
+    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
+) -> list[Report]:
+    mismatches: list[Mismatch] = []
+    a = solve_a_coeffs(10)
+    expected_a = [Fraction(2, 3), Fraction(-1, 12), Fraction(7, 540)]
+    for m, want in enumerate(expected_a, start=1):
+        if a[m - 1] != want:
+            mismatches.append(Mismatch(f"a_{m}", str(a[m - 1]), str(want)))
+    if flow_expansion(a, 10) != rhs_target(10):
+        mismatches.append(Mismatch("flow round trip (order 10)", "lhs", "rhs"))
+    expected_c = [
+        Fraction(1),
+        Fraction(1, 12),
+        Fraction(1, 288),
+        Fraction(-139, 51840),
+    ]
+    for i, want in enumerate(expected_c):
+        if c_const(i) != want:
+            mismatches.append(Mismatch(f"C_{i}", str(c_const(i)), str(want)))
+    for n in range(1, 11):
+        acc = sum(
+            Fraction((-1) ** (n - i)) * c_const(i) * c_const(n - i)
+            for i in range(n + 1)
+        )
+        if acc != 0:
+            mismatches.append(Mismatch(f"alternating C identity n={n}", str(acc), "0"))
+    return [
+        Report(
+            identity="constants",
+            pairing="-",
+            truncation=trunc.as_dict(),
+            passed=not mismatches,
+            cases=10 + len(expected_a) + len(expected_c) + 1,
+            mismatches=mismatches[:MAX_RECORDED_MISMATCHES],
+        )
+    ]
+
+
+def _w_factorization_suite(
+    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
+) -> list[Report]:
+    return [
+        verify_w_factorization(pairing, trunc),
+        verify_w_factorization(pairing, trunc, mode="from_u"),
+    ]
+
+
+def _hat_t_suite(
+    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
+) -> list[Report]:
+    n_max = min(trunc.max_var_index, max(trunc.max_omega_weight, 1))
+    return [verify_hat_t(pairing, trunc, n_max)]
+
+
+def _brackets_suite(
+    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
+) -> list[Report]:
+    m_hi = max(1, trunc.max_var_index // 2)
+    subs = [
+        verify_bracket(m, n, pairing, trunc)
+        for m in range(1, m_hi + 1)
+        for n in range(1, m_hi + 1)
+    ]
+    return [combine_reports(f"brackets(m,n<={m_hi})", subs)]
+
+
+def _virasoro_split_suite(
+    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
+) -> list[Report]:
+    return [verify_virasoro_split(bundle())]
+
+
+def _ex_closed_form_suite(
+    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
+) -> list[Report]:
+    n_hi = min((trunc.max_var_index - 1) // 2, trunc.max_u_degree // 2)
+    subs = [
+        verify_raised_odd_variable(n, a, pairing, trunc, bundle=bundle())
+        for n in range(0, n_hi + 1)
+        for a in pairing.colors()
+    ]
+    return [combine_reports(f"ex-closed-form(n<={n_hi})", subs)]
+
+
+def _bridge_suite(
+    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
+) -> list[Report]:
+    n_max = (trunc.max_var_index - 1) // 2
+    return [
+        verify_substitution_bridge(pairing, trunc, n_max, seed=seed),
+        verify_kernel_match(pairing, trunc, bundle=bundle()),
+        verify_theta_recoloring(pairing, trunc),
+    ]
+
+
+def _theorem_suite(
+    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
+) -> list[Report]:
+    reports: list[Report] = []
+    support = (trunc.max_var_index - 1) // 2
+    if pairing.rank == 1 and pairing.eta[0][0] == 1:
+        z_trunc = trunc.replace(max_var_index=support)
+        offset = default_hbar_offset(z_trunc)
+        z = z_point(z_trunc, genus_max=2, offset=offset).truncated(trunc)
+        reports.append(
+            verify_hodge_to_gw(z, pairing, label="theorem[point-dvv]", bundle=bundle())
+        )
+        flowed = build_w_u(pairing, trunc).exp_apply(z)
+        got = log_true_coefficient(
+            flowed, offset, Monomial.build({t_var(0): 1}, {PARAM_U: 2})
+        )
+        ok = got == Fraction(-1, 24)
+        reports.append(
+            Report(
+                identity="theorem[one-point genus-1 log coefficient]",
+                pairing=pairing.name,
+                truncation=trunc.as_dict(),
+                passed=ok,
+                cases=1,
+                mismatches=[]
+                if ok
+                else [Mismatch("u^2 t[0,0] log coefficient", str(got), "-1/24")],
+            )
+        )
+    pool = [t_var(i, a) for i in range(support + 1) for a in pairing.colors()]
+    subs = []
+    for i in range(10):
+        z = random_series(
+            seed + 100 + i,
+            trunc,
+            term_count=8,
+            variables=pool,
+            max_hbar=trunc.max_hbar_degree,
+        )
+        subs.append(
+            verify_hodge_to_gw(z, pairing, label="theorem[random]", bundle=bundle())
+        )
+    reports.append(combine_reports("theorem[random x10]", subs))
+    reports.append(verify_kernel_match(pairing, trunc, bundle=bundle()))
+    return reports
+
+
+_SUITES: dict[str, Callable[[Pairing, Truncation, int, Bundle], list[Report]]] = {
+    "constants": _constants_suite,
+    "w-factorization": _w_factorization_suite,
+    "hat-t": _hat_t_suite,
+    "brackets": _brackets_suite,
+    "virasoro-split": _virasoro_split_suite,
+    "ex-closed-form": _ex_closed_form_suite,
+    "bridge": _bridge_suite,
+    "theorem": _theorem_suite,
+}
+ALL_SUITES = tuple(_SUITES)
 
 
 @dataclass
@@ -409,138 +531,15 @@ class VerificationConfig:
         )
 
 
-def _constants_report(trunc: Truncation) -> Report:
-    mismatches: list[Mismatch] = []
-    a = solve_a_coeffs(10)
-    expected_a = [Fraction(2, 3), Fraction(-1, 12), Fraction(7, 540)]
-    for m, want in enumerate(expected_a, start=1):
-        if a[m - 1] != want:
-            mismatches.append(Mismatch(f"a_{m}", str(a[m - 1]), str(want)))
-    if flow_expansion(a, 10) != rhs_target(10):
-        mismatches.append(Mismatch("flow round trip (order 10)", "lhs", "rhs"))
-    expected_c = [
-        Fraction(1),
-        Fraction(1, 12),
-        Fraction(1, 288),
-        Fraction(-139, 51840),
-    ]
-    for i, want in enumerate(expected_c):
-        if c_const(i) != want:
-            mismatches.append(Mismatch(f"C_{i}", str(c_const(i)), str(want)))
-    for n in range(1, 11):
-        acc = sum(
-            Fraction((-1) ** (n - i)) * c_const(i) * c_const(n - i)
-            for i in range(n + 1)
-        )
-        if acc != 0:
-            mismatches.append(Mismatch(f"alternating C identity n={n}", str(acc), "0"))
-    return Report(
-        identity="constants",
-        pairing="-",
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=10 + len(expected_a) + len(expected_c) + 1,
-        mismatches=mismatches[:MAX_RECORDED_MISMATCHES],
-    )
-
-
 def run_suite(config: VerificationConfig) -> list[Report]:
     """Run the selected suites; pairing problems are rejected before anything runs."""
-    pairing = (
-        point_pairing()
-        if config.pairing_spec == "point"
-        else _load_pairing(config.pairing_spec)
-    )
+    pairing = pairing_from_spec(config.pairing_spec)
     unknown = set(config.suites) - set(ALL_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     trunc = config.truncation()
+    bundle = functools.cache(lambda: build_virasoro(pairing, trunc))
     reports: list[Report] = []
     for suite in config.suites:
-        if suite == "constants":
-            reports.append(_constants_report(trunc))
-        elif suite == "w-factorization":
-            reports.append(_hodge.verify_w_factorization(pairing, trunc))
-            reports.append(_hodge.verify_w_factorization(pairing, trunc, mode="from_u"))
-        elif suite == "hat-t":
-            n_max = min(trunc.max_var_index, max(trunc.max_omega_weight, 1))
-            reports.append(_hodge.verify_hat_t(pairing, trunc, n_max))
-        elif suite == "brackets":
-            m_hi = max(1, trunc.max_var_index // 2)
-            subs = [
-                verify_bracket(m, n, pairing, trunc)
-                for m in range(1, m_hi + 1)
-                for n in range(1, m_hi + 1)
-            ]
-            reports.append(combine_reports(f"brackets(m,n<={m_hi})", subs))
-        elif suite == "virasoro-split":
-            reports.append(verify_virasoro_split(build_virasoro(pairing, trunc)))
-        elif suite == "ex-closed-form":
-            n_hi = min((trunc.max_var_index - 1) // 2, trunc.max_u_degree // 2)
-            subs = [
-                verify_raised_odd_variable(n, a, pairing, trunc)
-                for n in range(0, n_hi + 1)
-                for a in pairing.colors()
-            ]
-            reports.append(combine_reports(f"ex-closed-form(n<={n_hi})", subs))
-        elif suite == "bridge":
-            n_max = (trunc.max_var_index - 1) // 2
-            reports.append(
-                verify_substitution_bridge(pairing, trunc, n_max, seed=config.seed)
-            )
-            reports.append(verify_kernel_match(pairing, trunc))
-            reports.append(verify_theta_recoloring(pairing, trunc))
-        elif suite == "theorem":
-            reports.extend(_theorem_suite(pairing, config))
-    return reports
-
-
-def _load_pairing(spec: str) -> Pairing:
-    from .pairing import pairing_from_spec
-
-    return pairing_from_spec(spec)
-
-
-def _theorem_suite(pairing: Pairing, config: VerificationConfig) -> list[Report]:
-    reports: list[Report] = []
-    trunc = config.truncation()
-    support = (trunc.max_var_index - 1) // 2
-    if pairing.rank == 1 and pairing.eta[0][0] == 1:
-        z_trunc = trunc.replace(max_var_index=support)
-        offset = default_hbar_offset(z_trunc)
-        z = z_point(z_trunc, genus_max=2, offset=offset).truncated(trunc)
-        reports.append(verify_hodge_to_gw(z, pairing, label="theorem[point-dvv]"))
-        flowed = build_w_u(pairing, trunc).exp_apply(z)
-        got = log_true_coefficient(
-            flowed, offset, Monomial.build({t_var(0): 1}, {PARAM_U: 2})
-        )
-        ok = got == Fraction(-1, 24)
-        reports.append(
-            Report(
-                identity="theorem[one-point genus-1 log coefficient]",
-                pairing=pairing.name,
-                truncation=trunc.as_dict(),
-                passed=ok,
-                cases=1,
-                mismatches=[]
-                if ok
-                else [Mismatch("u^2 t[0,0] log coefficient", str(got), "-1/24")],
-            )
-        )
-    pool = [t_var(i, a) for i in range(support + 1) for a in pairing.colors()]
-    bundle = build_virasoro(pairing, trunc)
-    subs = []
-    for i in range(10):
-        z = random_series(
-            config.seed + 100 + i,
-            trunc,
-            term_count=8,
-            variables=pool,
-            max_hbar=trunc.max_hbar_degree,
-        )
-        subs.append(
-            verify_hodge_to_gw(z, pairing, label="theorem[random]", bundle=bundle)
-        )
-    reports.append(combine_reports("theorem[random x10]", subs))
-    reports.append(verify_kernel_match(pairing, trunc, bundle=bundle))
+        reports.extend(_SUITES[suite](pairing, trunc, config.seed, bundle))
     return reports

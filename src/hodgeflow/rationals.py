@@ -12,14 +12,10 @@ import threading
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "bernoulli",
     "odd_double_factorial",
     "binomial",
-    "rational_str",
 ]
-
-Rational = Fraction
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
@@ -61,8 +57,3 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def rational_str(x: Fraction | int) -> str:
-    """Canonical report form: "p/q" for non-integers, plain decimal otherwise."""
-    return str(x)

@@ -125,17 +125,7 @@ class Monomial(NamedTuple):
         vars: Mapping[VarId, int] | Iterable[tuple[VarId, int]] = (),
         params: Mapping[ParamId, int] | Iterable[tuple[ParamId, int]] = (),
     ) -> "Monomial":
-        vd: dict[VarId, int] = {}
-        for v, e in dict(vars).items() if isinstance(vars, Mapping) else vars:
-            if e:
-                vd[v] = vd.get(v, 0) + e
-        pd: dict[ParamId, int] = {}
-        for p, e in dict(params).items() if isinstance(params, Mapping) else params:
-            if e:
-                pd[p] = pd.get(p, 0) + e
-        if any(e < 0 for e in vd.values()) or any(e < 0 for e in pd.values()):
-            raise ValueError("negative exponents are not representable")
-        return Monomial(tuple(sorted(vd.items())), tuple(sorted(pd.items())))
+        return Monomial(_pack(vars), _pack(params))
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(
@@ -171,6 +161,30 @@ class Monomial(NamedTuple):
 
 
 MONOMIAL_ONE = Monomial((), ())
+
+
+def _accumulate(out: dict, key: object, c: Fraction) -> None:
+    """out[key] += c, deleting the key when the sum cancels to zero."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = c
+    else:
+        acc += c
+        if acc:
+            out[key] = acc
+        else:
+            del out[key]
+
+
+def _pack(entries: Mapping | Iterable[tuple]) -> tuple:
+    """Canonical sorted ((id, exp), ...) tuple of a multiset; zero entries dropped."""
+    d: dict = {}
+    for k, e in entries.items() if isinstance(entries, Mapping) else entries:
+        if e:
+            d[k] = d.get(k, 0) + e
+    if any(e < 0 for e in d.values()):
+        raise ValueError("negative exponents are not representable")
+    return tuple(sorted(d.items()))
 
 
 def _merge_exps(a: tuple, b: tuple) -> tuple:
@@ -277,18 +291,8 @@ class Series:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Monomial, Fraction] = {}
         for m, c in items:
-            if c == 0 or not trunc.admits(m):
-                continue
-            acc = clean.get(m)
-            c = Fraction(c)
-            if acc is None:
-                clean[m] = c
-            else:
-                acc += c
-                if acc:
-                    clean[m] = acc
-                else:
-                    del clean[m]
+            if c != 0 and trunc.admits(m):
+                _accumulate(clean, m, Fraction(c))
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -332,15 +336,7 @@ class Series:
         self._check_policy(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-            else:
-                acc += c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
+            _accumulate(out, m, c)
         return Series(self.trunc, out, _clean=True)
 
     def neg(self) -> "Series":
@@ -388,18 +384,8 @@ class Series:
                 if ub > lu or hb > lh or wb > lw:
                     continue
                 m = ma.mul(mb)
-                if not admits(m):
-                    continue
-                c = ca * cb
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    acc += c
-                    if acc:
-                        out[m] = acc
-                    else:
-                        del out[m]
+                if admits(m):
+                    _accumulate(out, m, ca * cb)
         return Series(self.trunc, out, _clean=True)
 
     def mul_monomial(self, m: Monomial, coeff: Fraction | int = 1) -> "Series":
@@ -449,74 +435,47 @@ class Series:
 
     # -- substitution ---------------------------------------------------------
 
-    def substitute(self, rule: Mapping[VarId, "Series"]) -> "Series":
-        """Ring homomorphism sending each mapped variable to its replacement.
+    def substitute(self, rule: Mapping[VarId | ParamId, "Series"]) -> "Series":
+        """Ring homomorphism sending mapped variables and parameters to replacements.
 
-        Unlisted variables map to themselves.  Replacements share this series'
-        policy, so they carry only admissible monomials; whatever a product
-        pushes outside the window is dropped like any other ring operation.
+        Keys are variables or formal parameters; unlisted ones map to
+        themselves and the replacement series are not substituted again.
+        Parameter replacements must be variable-free.  Replacements share this
+        series' policy, so they carry only admissible monomials; whatever a
+        product pushes outside the window is dropped like any other ring
+        operation.
         """
-        for repl in rule.values():
+        for key, repl in rule.items():
             self._check_policy(repl)
-        powers: dict[tuple[VarId, int], Series] = {}
-
-        def replacement_power(v: VarId, e: int) -> Series:
-            key = (v, e)
-            got = powers.get(key)
-            if got is None:
-                got = rule[v].power(e)
-                powers[key] = got
-            return got
-
-        out = Series.zero(self.trunc)
-        for m, c in self.terms.items():
-            kept: list[tuple[VarId, int]] = []
-            factors: list[Series] = []
-            for v, e in m.vars:
-                if v in rule:
-                    factors.append(replacement_power(v, e))
-                else:
-                    kept.append((v, e))
-            term = Series.of_monomial(self.trunc, Monomial(tuple(kept), m.params), c)
-            for f in factors:
-                term = term.mul(f)
-                if term.is_zero():
-                    break
-            out = out.add(term)
-        return out
-
-    def substitute_params(self, rule: Mapping[ParamId, "Series"]) -> "Series":
-        """Same homomorphism on formal parameters (replacements are parameter-only)."""
-        for repl in rule.values():
-            self._check_policy(repl)
-            if any(m.vars for m in repl.terms):
+            if isinstance(key, ParamId) and any(m.vars for m in repl.terms):
                 raise ValueError("parameter replacements must be variable-free")
-        powers: dict[tuple[ParamId, int], Series] = {}
+        powers: dict[tuple[VarId | ParamId, int], Series] = {}
 
-        def replacement_power(p: ParamId, e: int) -> Series:
-            key = (p, e)
-            got = powers.get(key)
-            if got is None:
-                got = rule[p].power(e)
-                powers[key] = got
-            return got
+        def split(exps: tuple, factors: list[Series]) -> tuple:
+            """Keep the unmapped exponents; queue the powers of the mapped ones."""
+            kept = []
+            for key, e in exps:
+                if key not in rule:
+                    kept.append((key, e))
+                    continue
+                power = powers.get((key, e))
+                if power is None:
+                    power = powers[key, e] = rule[key].power(e)
+                factors.append(power)
+            return tuple(kept)
 
-        out = Series.zero(self.trunc)
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            kept: list[tuple[ParamId, int]] = []
             factors: list[Series] = []
-            for p, e in m.params:
-                if p in rule:
-                    factors.append(replacement_power(p, e))
-                else:
-                    kept.append((p, e))
-            term = Series.of_monomial(self.trunc, Monomial(m.vars, tuple(kept)), c)
+            head = Monomial(split(m.vars, factors), split(m.params, factors))
+            term = Series.of_monomial(self.trunc, head, c)
             for f in factors:
                 term = term.mul(f)
                 if term.is_zero():
                     break
-            out = out.add(term)
-        return out
+            for mm, cc in term.terms.items():
+                _accumulate(out, mm, cc)
+        return Series(self.trunc, out, _clean=True)
 
     # -- rendering ------------------------------------------------------------
 

@@ -32,6 +32,7 @@ from .series import (
     Series,
     Truncation,
     TruncationError,
+    _accumulate,
     exp_nilpotent,
     omega_param,
     q_var,
@@ -119,8 +120,8 @@ def r_poly(i: int, trunc: Truncation | None = None) -> Series:
                     l = (w + 1) // 2
                     coeff *= Fraction((-1) ** mult, math.factorial(mult))
                     params[omega_param(l)] = mult
-                m = Monomial.build((), params)
-                cached[m] = cached.get(m, Fraction(0)) + coeff
+                # each odd partition gives its own coupling monomial
+                cached[Monomial.build((), params)] = coeff
             _R_CACHE[i] = cached
     if trunc is None:
         trunc = Truncation(0, 0, 0, 0, i)
@@ -142,7 +143,7 @@ def _eval_at_bernoulli(s: Series, u_power_per_weight: int = 0) -> Series:
                         )
                     )
                 rule[p] = value
-    return s.substitute_params(rule)
+    return s.substitute(rule)
 
 
 _C_CACHE: dict[int, Fraction] = {}
@@ -204,11 +205,7 @@ def q_omega_nested(trunc: Truncation) -> Series:
                     (),
                     {**params, PARAM_X: xexp, PARAM_Y: yexp},
                 )
-                acc = terms.get(m, Fraction(0)) + c
-                if acc:
-                    terms[m] = acc
-                elif m in terms:
-                    del terms[m]
+                _accumulate(terms, m, c)
     return Series(trunc, terms)
 
 
@@ -235,16 +232,11 @@ def divide_x_plus_y(s: Series) -> Series:
         else:
             others[PARAM_X] = a - 1
         qm = Monomial(m.vars, tuple(sorted(others.items())))
-        quo[qm] = quo.get(qm, Fraction(0)) + c
+        _accumulate(quo, qm, c)
         # subtract (x + y) * qm: the x-part cancels m, the y-part feeds back
         others_y = dict(others)
         others_y[PARAM_Y] = others_y.get(PARAM_Y, 0) + 1
-        ym = Monomial(m.vars, tuple(sorted(others_y.items())))
-        acc = rem.get(ym, Fraction(0)) - c
-        if acc:
-            rem[ym] = acc
-        elif ym in rem:
-            del rem[ym]
+        _accumulate(rem, Monomial(m.vars, tuple(sorted(others_y.items()))), -c)
     return Series(s.trunc, quo)
 
 
@@ -284,7 +276,7 @@ def q_u(trunc: Truncation) -> Series:
         max_omega_weight=max(trunc.max_omega_weight, trunc.max_u_degree // 2)
     )
     direct = _eval_at_bernoulli(q_omega(wide), u_power_per_weight=2)
-    scaled = q_b(wide).substitute_params(
+    scaled = q_b(wide).substitute(
         {
             PARAM_X: Series.of_monomial(
                 wide, Monomial.build((), {PARAM_U: 2, PARAM_X: 1})
@@ -319,12 +311,7 @@ def phi_coefficients(k: int) -> dict[tuple[int, int], Fraction]:
             for (a, j), c in cur.items():
                 base = c * j
                 for da, dj, w in ((2, 0, 1), (1, 1, 2), (0, 2, 1)):
-                    key = (a + da, j + dj)
-                    acc = nxt.get(key, Fraction(0)) + base * w
-                    if acc:
-                        nxt[key] = acc
-                    elif key in nxt:
-                        del nxt[key]
+                    _accumulate(nxt, (a + da, j + dj), base * w)
             _PHI_CACHE[kk] = nxt
             cur = nxt
         return _PHI_CACHE[k]
@@ -374,11 +361,7 @@ class ZLaurent:
     def add(self, other: "ZLaurent") -> "ZLaurent":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e, Fraction(0)) + c
-            if acc:
-                out[e] = acc
-            elif e in out:
-                del out[e]
+            _accumulate(out, e, c)
         return ZLaurent(out)
 
     def scale(self, v: Fraction | int) -> "ZLaurent":
@@ -459,17 +442,14 @@ def flow_expansion(a: list[Fraction], order: int) -> ZLaurent:
     floor = 1 - order
 
     def vector_field(p: ZLaurent) -> ZLaurent:
-        out = ZLaurent()
+        out: dict[int, Fraction] = {}
         for e, c in p.terms.items():
             if e == 0:
                 continue
             for m, am in enumerate(a, start=1):
-                if am == 0:
-                    continue
-                ne = e - m
-                if ne >= floor:
-                    out = out.add(ZLaurent({ne: c * e * am}))
-        return out
+                if am != 0 and e - m >= floor:
+                    _accumulate(out, e - m, c * e * am)
+        return ZLaurent(out)
 
     total = ZLaurent({1: Fraction(1)})
     term = total

@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .operators import Operator, OperatorClassError, zassenhaus_tail
+from .operators import (
+    Operator,
+    OperatorClassError,
+    first_mismatch,
+    zassenhaus_tail,
+)
 from .pairing import Pairing, point_pairing
 from .rationals import odd_double_factorial
 from .report import MAX_RECORDED_MISMATCHES, Mismatch, Report
@@ -103,15 +108,6 @@ class VirasoroBundle:
     q_plus: Operator       # alternating ad-tower of y_plus under x_plus
     q_plus_odd: Operator   # q_plus restricted to odd q-indices
 
-    def x(self, m: int) -> Operator:
-        return build_x(m, self.pairing, self.trunc)
-
-    def y(self, m: int) -> Operator:
-        return build_y(m, self.pairing, self.trunc)
-
-    def l(self, m: int) -> Operator:
-        return build_l(m, self.pairing, self.trunc)
-
 
 def build_virasoro(
     pairing: Pairing, trunc: Truncation, m_max: int | None = None
@@ -162,32 +158,28 @@ def verify_bracket(m: int, n: int, pairing: Pairing, trunc: Truncation) -> Repor
     """
     if m + n > trunc.max_var_index:
         raise ValueError("bracket check needs max_var_index >= m + n")
-    mismatches: list[Mismatch] = []
-    lm, ln = build_l(m, pairing, trunc), build_l(n, pairing, trunc)
-    whole = lm.commutator(ln).sub(build_l(m + n, pairing, trunc).scale(m - n))
-    if not whole.is_zero():
-        key, c = whole.sorted_atoms()[0]
-        mismatches.append(
-            Mismatch(monomial=f"[L{m},L{n}] atom {key}", lhs=str(c), rhs="0")
-        )
     xm, xn = build_x(m, pairing, trunc), build_x(n, pairing, trunc)
     ym, yn = build_y(m, pairing, trunc), build_y(n, pairing, trunc)
-    xx = xm.commutator(xn).sub(build_x(m + n, pairing, trunc).scale(m - n))
-    if not xx.is_zero():
-        key, c = xx.sorted_atoms()[0]
-        mismatches.append(
-            Mismatch(monomial=f"[X{m},X{n}] atom {key}", lhs=str(c), rhs="0")
-        )
-    xy = (
-        xm.commutator(yn)
-        .add(ym.commutator(xn))
-        .sub(build_y(m + n, pairing, trunc).scale(m - n))
-    )
-    if not xy.is_zero():
-        key, c = xy.sorted_atoms()[0]
-        mismatches.append(
-            Mismatch(monomial=f"[X{m},Y{n}]+[Y{m},X{n}] atom {key}", lhs=str(c), rhs="0")
-        )
+    sides = [
+        (
+            f"[L{m},L{n}]",
+            build_l(m, pairing, trunc).commutator(build_l(n, pairing, trunc)),
+            build_l(m + n, pairing, trunc).scale(m - n),
+        ),
+        (
+            f"[X{m},X{n}]",
+            xm.commutator(xn),
+            build_x(m + n, pairing, trunc).scale(m - n),
+        ),
+        (
+            f"[X{m},Y{n}]+[Y{m},X{n}]",
+            xm.commutator(yn).add(ym.commutator(xn)),
+            build_y(m + n, pairing, trunc).scale(m - n),
+        ),
+    ]
+    mismatches = [
+        first_mismatch(tag, lhs, rhs) for tag, lhs, rhs in sides if lhs != rhs
+    ]
     return Report(
         identity=f"bracket({m},{n})",
         pairing=pairing.name,
@@ -241,15 +233,7 @@ def verify_virasoro_split(bundle: VirasoroBundle, max_degree: int | None = None)
         lhs = bundle.l_weighted.exp_apply(start)
         rhs = bundle.x_plus.exp_apply(q_half.exp_apply(start))
         if lhs != rhs:
-            diff = lhs.sub(rhs)
-            bad = diff.sorted_terms()[0][0]
-            mismatches.append(
-                Mismatch(
-                    monomial=f"split . {mono.render()} at {bad.render()}",
-                    lhs=str(lhs.coefficient(bad)),
-                    rhs=str(rhs.coefficient(bad)),
-                )
-            )
+            mismatches.append(first_mismatch(f"split . {mono.render()}", lhs, rhs))
             if len(mismatches) >= MAX_RECORDED_MISMATCHES:
                 break
     cases += 1
@@ -261,7 +245,9 @@ def verify_virasoro_split(bundle: VirasoroBundle, max_degree: int | None = None)
     recolored = delta_map(pt_bundle.q_plus_odd, pairing)
     if recolored != bundle.q_plus_odd:
         mismatches.append(
-            Mismatch(monomial="odd tower vs recolored point tower", lhs="...", rhs="...")
+            first_mismatch(
+                "odd tower vs recolored point tower", bundle.q_plus_odd, recolored
+            )
         )
     return Report(
         identity="virasoro-split",
@@ -301,15 +287,7 @@ def verify_raised_odd_variable(
     rhs = rhs.scale(Fraction(1, odd_double_factorial(n)))
     mismatches: list[Mismatch] = []
     if lhs != rhs:
-        diff = lhs.sub(rhs)
-        bad = diff.sorted_terms()[0][0]
-        mismatches.append(
-            Mismatch(
-                monomial=f"raise q[{2*n+1},{alpha}] at {bad.render()}",
-                lhs=str(lhs.coefficient(bad)),
-                rhs=str(rhs.coefficient(bad)),
-            )
-        )
+        mismatches.append(first_mismatch(f"raise q[{2*n+1},{alpha}]", lhs, rhs))
     return Report(
         identity=f"ex-closed-form(n={n},a={alpha})",
         pairing=pairing.name,

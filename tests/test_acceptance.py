@@ -119,7 +119,7 @@ def test_criterion_06_kernel_scaling_and_constants():
     ok = not q_u(Truncation(0, 0, 10, 0, 0)).is_zero()
     trunc = Truncation(0, 0, 16, 0, 8)
     for i in range(9):
-        inst = r_poly(i, trunc).substitute_params(
+        inst = r_poly(i, trunc).substitute(
             {
                 omega_param(l): Series.of_monomial(
                     trunc,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hodgeflow.cli import main
 
 
@@ -43,6 +45,26 @@ def test_verify_subset_exit_zero(capsys):
 def test_verify_rejects_singular_pairing(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rank": 1, "eta": [["0"]]}')
+    code = main(["verify", "--pairing", str(bad), "--suite", "constants"])
+    assert code == 2
+    assert "rejected" in capsys.readouterr().err
+
+
+def test_verify_rejects_missing_pairing_file(tmp_path, capsys):
+    absent = str(tmp_path / "absent.json")
+    code = main(["verify", "--pairing", absent, "--suite", "constants"])
+    assert code == 2
+    assert "rejected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"rank": 1}', '{"eta": 5}', '{"eta": [[null]]}'],
+    ids=["no-eta", "eta-not-a-matrix", "null-entry"],
+)
+def test_verify_rejects_malformed_pairing_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
     code = main(["verify", "--pairing", str(bad), "--suite", "constants"])
     assert code == 2
     assert "rejected" in capsys.readouterr().err

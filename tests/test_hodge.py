@@ -335,10 +335,10 @@ def test_flow_multi_u_degenerates_to_single_u():
     z = random_series(12, tr, 5, variables=[t_var(i) for i in range(4)], max_hbar=1)
     flow_multi = hodge_flow(z, "from_multi_u", PT, k=2)
     # kill the second parameter, rename u to the first
-    killed = flow_multi.substitute_params(
+    killed = flow_multi.substitute(
         {multi_u_param(2): Series.zero(tr)}
     )
-    flow_single = hodge_flow(z, "from_u", PT).substitute_params(
+    flow_single = hodge_flow(z, "from_u", PT).substitute(
         {PARAM_U: Series.of_param(tr, multi_u_param(1))}
     )
     assert killed == flow_single

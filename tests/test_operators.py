@@ -13,10 +13,12 @@ from hodgeflow.operators import (
     GradingError,
     Operator,
     OperatorClassError,
+    first_mismatch,
     verify_zassenhaus_factorization,
     zassenhaus_tail,
 )
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
+from hodgeflow.report import Mismatch
 from hodgeflow.series import (
     Monomial,
     PARAM_HBAR,
@@ -379,6 +381,34 @@ def random_power_operator(rng: random.Random, count: int, names: list) -> Operat
             )
         )
     return op
+
+
+def test_first_mismatch_on_series():
+    t0, ut1, t2 = (
+        Monomial.build({t_var(0): 1}),
+        Monomial.build({t_var(1): 1}, {PARAM_U: 2}),
+        Monomial.build({t_var(2): 2}),
+    )
+    f = Series(TR, {t0: 1, ut1: 2, t2: 5})
+    assert first_mismatch("tag", f, Series(TR, {t0: 1, ut1: 3})) == Mismatch(
+        "tag at u^2 * t[1,0]", "2", "3"
+    )
+    assert first_mismatch("tag", Series(TR, {t0: 1, t2: 5}), f) == Mismatch(
+        "tag at u^2 * t[1,0]", "0", "2"
+    )
+
+
+def test_first_mismatch_on_operators():
+    shift = Operator.atom(2, mult=[t_var(0)], deriv=[t_var(1)])
+    pair = Operator.atom(1, params={PARAM_HBAR: 1}, deriv=[t_var(0), t_var(0)])
+    late = Operator.atom(3, params={PARAM_U: 1}, deriv=[t_var(2)])
+    lhs = shift.add(pair).add(late)
+    assert first_mismatch("op", lhs, shift) == Mismatch(
+        "op at hbar d/dt[0,0]^2", "1", "0"
+    )
+    assert first_mismatch("op", shift.scale(2), lhs) == Mismatch(
+        "op at t[0,0] d/dt[1,0]", "4", "2"
+    )
 
 
 def test_commutator_matches_compose_difference():

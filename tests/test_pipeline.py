@@ -1,8 +1,13 @@
 """Change of variables, the bridge identity, the main identity, the runner."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodgeflow import pipeline, virasoro
 
 from hodgeflow.hodge import build_w_u
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
@@ -20,6 +25,7 @@ from hodgeflow.pipeline import (
     verify_theta_recoloring,
 )
 from hodgeflow.operators import Operator, OperatorClassError
+from hodgeflow.report import Mismatch
 from hodgeflow.series import (
     Monomial,
     PARAM_HBAR,
@@ -32,6 +38,7 @@ from hodgeflow.series import (
     t_var,
 )
 from hodgeflow.special import c_const
+from hodgeflow.virasoro import build_virasoro
 from hodgeflow.witten import default_hbar_offset, z_point
 
 PT = point_pairing()
@@ -134,6 +141,40 @@ def test_kernel_match_both_pairings():
         assert verify_kernel_match(pairing, Truncation(1, 8, 6, 0, 0)).passed
 
 
+@pytest.mark.parametrize(
+    "pairing, color", [(PT, 0), (H2, 1)], ids=["point", "hyperbolic2"]
+)
+def test_kernel_match_fails_on_perturbed_odd_tower(pairing, color):
+    tr = Truncation(1, 8, 6, 0, 0)
+    b = build_virasoro(pairing, tr)
+    bump = Operator.atom(1, params={PARAM_U: 4}, deriv=[q_var(1, color), q_var(3, 0)])
+    broken = dataclasses.replace(b, q_plus_odd=b.q_plus_odd.add(bump))
+    r = verify_kernel_match(pairing, tr, bundle=broken)
+    assert not r.passed
+    name = f"kernel at u^4 d/dq[1,{color}] d/dq[3,0]"
+    assert r.mismatches == [Mismatch(name, "-1/144", "143/144")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    degree=st.integers(1, 3),
+    u=st.integers(0, 6),
+    more_degree=st.integers(0, 2),
+    more_u=st.integers(0, 3),
+    pairing=st.sampled_from([PT, H2]),
+)
+def test_change_vars_window_consistency(seed, degree, u, more_degree, more_u, pairing):
+    # the input lies in the narrow window: the constant shifts lower t-degree
+    narrow = Truncation(degree, 7, u, 1, 0)
+    wide = narrow.replace(max_t_degree=degree + more_degree, max_u_degree=u + more_u)
+    pool = [t_var(i, a) for i in range(4) for a in pairing.colors()]
+    g = random_series(seed, narrow, 5, variables=pool, max_hbar=1, max_u=min(u, 2))
+    got = change_vars(g.truncated(wide), SubstitutionPlan("full", pairing, wide))
+    want = change_vars(g, SubstitutionPlan("full", pairing, narrow))
+    assert got.truncated(narrow) == want
+
+
 def test_bridge_closed_form_for_deep_coordinate():
     # both sides of the bridge on t[2,0] equal sum_i C_i u^{2i} phi~_{2-i}
     from hodgeflow.hodge import build_p_u, build_shift_u
@@ -233,6 +274,31 @@ def test_run_suite_smoke():
     reports = run_suite(cfg)
     assert len(reports) == 3
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("spec, builds", [("point", 2), ("hyperbolic2", 3)])
+def test_run_suite_builds_the_bundle_once(monkeypatch, spec, builds):
+    # the run's shared bundle, the bridge's own build and, off the point
+    # pairing, the split's point bundle
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build_virasoro(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_virasoro", counting_build)
+    monkeypatch.setattr(virasoro, "build_virasoro", counting_build)
+    cfg = VerificationConfig(
+        pairing_spec=spec,
+        max_t_degree=3,
+        max_var_index=5,
+        max_u_degree=4,
+        max_hbar_degree=2,
+        max_omega_weight=2,
+    )
+    reports = run_suite(cfg)
+    assert all(r.passed for r in reports)
+    assert len(calls) == builds
 
 
 def test_run_suite_rejects_unknown_suite():

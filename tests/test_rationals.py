@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hodgeflow.rationals import bernoulli, binomial, odd_double_factorial, rational_str
+from hodgeflow.rationals import bernoulli, binomial, odd_double_factorial
 
 
 def bernoulli_by_long_division(count: int) -> list[Fraction]:
@@ -73,9 +73,3 @@ def test_binomial():
 )
 def test_fraction_round_trip(x):
     assert x * (1 / x) == 1
-
-
-def test_rational_rendering():
-    assert rational_str(Fraction(-139, 51840)) == "-139/51840"
-    assert rational_str(Fraction(5, 1)) == "5"
-    assert rational_str(7) == "7"

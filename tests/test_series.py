@@ -145,6 +145,28 @@ def test_substitute_policy_mismatch():
         Series.of_var(TR, t_var(1)).substitute({t_var(1): repl})
 
 
+def test_substitute_mixed_rule_equals_variables_then_parameters():
+    pool = [t_var(0), t_var(1), t_var(2)]
+    s = random_series(5, TR, 12, variables=pool, max_hbar=1, max_u=2)
+    s = s.mul(Series.one(TR).add(Series.of_param(TR, omega_param(1), coeff=2)))
+    hbar = Series.of_param(TR, PARAM_HBAR)
+    q1, q2, q3 = (Series.of_var(TR, q_var(i)) for i in (1, 2, 3))
+    # the variable replacements avoid the mapped parameters, so the two orders agree
+    var_rule = {
+        t_var(0): q1.add(q2.mul(u_pow(1))),
+        t_var(1): q3.mul(hbar).sub(Series.constant(TR, Fraction(1, 2))),
+    }
+    param_rule = {
+        omega_param(1): u_pow(2, 3),
+        omega_param(2): hbar.sub(Series.constant(TR, Fraction(1, 3))),
+    }
+    mixed = s.substitute({**var_rule, **param_rule})
+    assert mixed == s.substitute(var_rule).substitute(param_rule)
+    assert mixed != s.substitute(var_rule)
+    with pytest.raises(ValueError):
+        s.substitute({PARAM_U: Series.of_var(TR, t_var(0))})
+
+
 def test_random_series_determinism():
     a = random_series(7, TR, 20)
     b = random_series(7, TR, 20)

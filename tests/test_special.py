@@ -135,7 +135,7 @@ def test_b_at_bernoulli_couplings_is_even_tail():
     rule = {
         omega_param(l): Series.constant(tr, omega_bernoulli(l)) for l in (1, 2, 3)
     }
-    got = b_omega(tr).substitute_params(rule)
+    got = b_omega(tr).substitute(rule)
     for l in (1, 2, 3):
         zmon = Monomial.build((), {PARAM_Z: 2 * l - 1})
         assert got.coefficient(zmon) == bernoulli(2 * l) / (2 * l * (2 * l - 1))
@@ -145,7 +145,7 @@ def test_u_scaled_tail_rescales_to_constant_tail():
     # substituting the u-scaled couplings and then sending z to u^2 z cancels
     # every u power, leaving the plain even-Bernoulli tail
     tr = Truncation(0, 0, 20, 0, 9)
-    scaled = b_omega(tr).substitute_params(
+    scaled = b_omega(tr).substitute(
         {
             omega_param(l): Series.of_monomial(
                 tr,
@@ -164,7 +164,7 @@ def test_u_scaled_tail_rescales_to_constant_tail():
         if u:
             params[PARAM_U] = u
         rescaled[Monomial.build((), params)] = c
-    plain = b_omega(tr).substitute_params(
+    plain = b_omega(tr).substitute(
         {
             omega_param(l): Series.constant(tr, omega_bernoulli(l))
             for l in range(1, 6)
@@ -187,7 +187,7 @@ def test_q_omega_weight_one_term():
 def test_q_omega_symmetric():
     tr = Truncation(0, 0, 0, 0, 6)
     q = q_omega(tr)
-    swap = q.substitute_params(
+    swap = q.substitute(
         {
             PARAM_X: Series.of_param(tr, PARAM_Y),
             PARAM_Y: Series.of_param(tr, PARAM_X),
@@ -217,7 +217,7 @@ def test_u_scaled_couplings_reproduce_constants():
     # weight homogeneity: the coupling substitution turns weight i into u^{2i} C_i
     tr = Truncation(0, 0, 16, 0, 8)
     for i in range(9):
-        inst = r_poly(i, tr).substitute_params(
+        inst = r_poly(i, tr).substitute(
             {
                 omega_param(l): Series.of_monomial(
                     tr,
