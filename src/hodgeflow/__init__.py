@@ -52,7 +52,6 @@ from .virasoro import build_l, build_virasoro, build_x, build_y, delta_map
 from .witten import intersection, z_point
 from .pipeline import (
     ALL_SUITES,
-    SubstitutionPlan,
     VerificationConfig,
     change_vars,
     run_suite,

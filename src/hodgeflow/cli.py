@@ -81,15 +81,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _emit_reports(reports, args.format)
 
 
-def cmd_theorem(args: argparse.Namespace) -> int:
-    try:
-        reports = run_suite(_config_from(args, ("theorem",)))
-    except ValueError as exc:
-        print(f"configuration rejected: {exc}", file=sys.stderr)
-        return 2
-    return _emit_reports(reports, args.format)
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     rows = []
     from itertools import combinations_with_replacement
@@ -134,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_thm = sub.add_parser("theorem", help="end-to-end identity only")
     _add_window_args(p_thm)
-    p_thm.set_defaults(func=cmd_theorem)
+    p_thm.set_defaults(func=cmd_verify, suite="theorem")
 
     p_oracle = sub.add_parser("oracle", help="intersection-number tables as JSON")
     p_oracle.add_argument("--genus-max", type=int, default=2)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .operators import Operator, first_mismatch
+from .operators import Operator, check, exp_basis_cases
 from .pairing import Pairing
 from .rationals import bernoulli
-from .report import MAX_RECORDED_MISMATCHES, Mismatch, Report
+from .report import Report
 from .series import (
     Monomial,
     PARAM_HBAR,
@@ -35,7 +35,6 @@ from .series import (
     ParamId,
     Series,
     Truncation,
-    basis_monomials,
     multi_u_param,
     omega_param,
     s_param,
@@ -347,42 +346,13 @@ def verify_w_factorization(
     q_half = q_kernel.scale(Fraction(1, 2), {PARAM_HBAR: 1})
 
     label = "w-factorization" + (f"[{mode}]" if mode else "")
-    mismatches: list[Mismatch] = []
-    cases = 0
-    for mono in basis_monomials(t_variables(pairing, trunc), trunc.max_t_degree):
-        cases += 1
-        start = Series.of_monomial(trunc, mono)
-        lhs = whole.exp_apply(start)
-        rhs1 = exp_chain(start, [shift, q_half, p_shift])
-        if rhs1 != lhs:
-            mismatches.append(first_mismatch(f"q.p order . {mono.render()}", lhs, rhs1))
-        else:
-            rhs2 = exp_chain(start, [shift, p_shift, q_half])
-            if rhs2 != lhs:
-                mismatches.append(
-                    first_mismatch(f"p.q order . {mono.render()}", lhs, rhs2)
-                )
-        if len(mismatches) >= MAX_RECORDED_MISMATCHES:
-            break
-    return Report(
-        identity=label,
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=cases,
-        mismatches=mismatches,
-    )
-
-
-def exp_chain(start: Series, ops: list[Operator]) -> Series:
-    """exp(ops[0]) exp(ops[1]) ... exp(ops[-1]) applied to the series.
-
-    The rightmost operator acts first, matching the written product order.
-    """
-    out = start
-    for op in reversed(ops):
-        out = op.exp_apply(out)
-    return out
+    orders = [
+        ("q.p order", [shift, q_half, p_shift]),
+        ("p.q order", [shift, p_shift, q_half]),
+    ]
+    variables = t_variables(pairing, trunc)
+    cases = exp_basis_cases(whole, orders, trunc, variables, trunc.max_t_degree)
+    return check(label, pairing.name, trunc, cases)
 
 
 def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
@@ -397,44 +367,31 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
     """
     parts = w_omega_parts(pairing, trunc)
     p_shift = build_p(trunc)
-    mismatches: list[Mismatch] = []
-    cases = 0
-    for n in range(0, n_max + 1):
-        for a in pairing.colors():
-            cases += 1
-            start = Series.of_var(trunc, t_var(n, a))
-            via_ops = parts.shift.exp_apply(p_shift.exp_apply(start))
-            closed = hat_t(n, a, trunc)
-            if via_ops != closed:
-                mismatches.append(
-                    first_mismatch(f"coordinate shift t[{n},{a}]", via_ops, closed)
-                )
-    # (b) compare per z-power and color
-    for n in range(0, n_max + 1):
-        for a in pairing.colors():
-            cases += 1
-            lhs = hat_t(n, a, trunc).scale(Fraction((-1) ** n))
-            if n == 1 and a == 0:
-                lhs = lhs.add(Series.one(trunc))
-            rhs = Series.zero(trunc)
-            for i in range(0, n + 1):
-                factor = r_poly(i, trunc).scale(Fraction((-1) ** i))
-                bracket = Series.of_var(trunc, t_var(n - i, a), Fraction((-1) ** (n - i)))
-                if n - i == 1 and a == 0:
-                    bracket = bracket.add(Series.one(trunc))
-                rhs = rhs.add(factor.mul(bracket))
-            if lhs != rhs:
-                mismatches.append(
-                    first_mismatch(f"z-series column (n={n}, a={a})", lhs, rhs)
-                )
-    return Report(
-        identity="hat-t",
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=cases,
-        mismatches=mismatches[:MAX_RECORDED_MISMATCHES],
-    )
+
+    def cases():
+        for n in range(0, n_max + 1):
+            for a in pairing.colors():
+                start = Series.of_var(trunc, t_var(n, a))
+                via_ops = parts.shift.exp_apply(p_shift.exp_apply(start))
+                yield f"coordinate shift t[{n},{a}]", via_ops, hat_t(n, a, trunc)
+        # (b) compare per z-power and color
+        for n in range(0, n_max + 1):
+            for a in pairing.colors():
+                lhs = hat_t(n, a, trunc).scale(Fraction((-1) ** n))
+                if n == 1 and a == 0:
+                    lhs = lhs.add(Series.one(trunc))
+                rhs = Series.zero(trunc)
+                for i in range(0, n + 1):
+                    factor = r_poly(i, trunc).scale(Fraction((-1) ** i))
+                    bracket = Series.of_var(
+                        trunc, t_var(n - i, a), Fraction((-1) ** (n - i))
+                    )
+                    if n - i == 1 and a == 0:
+                        bracket = bracket.add(Series.one(trunc))
+                    rhs = rhs.add(factor.mul(bracket))
+                yield f"z-series column (n={n}, a={a})", lhs, rhs
+
+    return check("hat-t", pairing.name, trunc, cases())
 
 
 def hodge_flow(

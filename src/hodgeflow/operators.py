@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice, product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .report import Mismatch, Report, MAX_RECORDED_MISMATCHES
 from .series import (
@@ -40,6 +40,8 @@ __all__ = [
     "OperatorClassError",
     "zassenhaus_tail",
     "first_mismatch",
+    "check",
+    "exp_basis_cases",
     "verify_zassenhaus_factorization",
 ]
 
@@ -402,18 +404,18 @@ def _render_atom(key: AtomKey, coeff: Fraction | None = None) -> str:
     return body.lstrip()
 
 
-def first_mismatch(
-    tag: str, lhs: Series | Operator, rhs: Series | Operator
-) -> Mismatch:
+def first_mismatch(tag: str, lhs: object, rhs: object) -> Mismatch:
     """The first monomial or atom, in sorted order, where two unequal sides differ.
 
-    The sides are two Series or two Operators; the mismatch reads
-    "{tag} at {monomial or atom}" with the coefficient on each side.
+    For two Series or two Operators the mismatch reads "{tag} at {monomial or
+    atom}" with the coefficient on each side; scalar sides are shown whole.
     """
     if isinstance(lhs, Series):
         left, right, render = lhs.terms, rhs.terms, Monomial.render
-    else:
+    elif isinstance(lhs, Operator):
         left, right, render = lhs.atoms, rhs.atoms, _render_atom
+    else:
+        return Mismatch(tag, str(lhs), str(rhs))
     zero = Fraction(0)
     bad = min(
         k for k in left.keys() | right.keys() if left.get(k, zero) != right.get(k, zero)
@@ -423,6 +425,60 @@ def first_mismatch(
         lhs=str(left.get(bad, zero)),
         rhs=str(right.get(bad, zero)),
     )
+
+
+# One case of an identity: a tag naming it and the two sides, which are two
+# Series, two Operators or two scalars.
+Case = tuple[str, object, object]
+
+
+def check(
+    identity: str, pairing_name: str, trunc: Truncation, cases: Iterable[Case]
+) -> Report:
+    """Evaluate and count every case; the identity passes iff every case's sides are equal.
+
+    The first MAX_RECORDED_MISMATCHES failing cases are named through
+    first_mismatch; ``cases`` is the full count whether or not the check passed.
+    """
+    count = 0
+    mismatches: list[Mismatch] = []
+    for tag, lhs, rhs in cases:
+        count += 1
+        if lhs != rhs and len(mismatches) < MAX_RECORDED_MISMATCHES:
+            mismatches.append(first_mismatch(tag, lhs, rhs))
+    return Report(
+        identity=identity,
+        pairing=pairing_name,
+        truncation=trunc.as_dict(),
+        passed=not mismatches,
+        cases=count,
+        mismatches=mismatches,
+    )
+
+
+def exp_basis_cases(
+    whole: Operator,
+    orders: list[tuple[str, list[Operator]]],
+    trunc: Truncation,
+    variables: Iterable[VarId],
+    degree: int,
+) -> Iterator[Case]:
+    """exp(whole) . m against exp(ops[0]) ... exp(ops[-1]) . m, one case per basis
+    monomial m of total degree <= degree (the rightmost operator acts first).
+
+    Each (tag, ops) in orders is one factoring; a case covers all of them and
+    carries the first that differs from exp(whole) . m, or the last if none does.
+    """
+    for mono in basis_monomials(variables, degree):
+        start = Series.of_monomial(trunc, mono)
+        lhs = whole.exp_apply(start)
+        for tag, ops in orders:
+            rhs = start
+            for op in reversed(ops):
+                rhs = op.exp_apply(rhs)
+            if rhs != lhs:
+                break
+        yield f"{tag} . {mono.render()}", lhs, rhs
 
 
 def zassenhaus_tail(
@@ -469,25 +525,7 @@ def verify_zassenhaus_factorization(
     if not (bracket.is_zero() or bracket.is_pure_derivative(max_order=2)):
         raise OperatorClassError("[x, y] left the abelian class")
 
-    whole = x_op.add(y_op)
-    tail = zassenhaus_tail(x_op, y_op, trunc)
-    mismatches: list[Mismatch] = []
-    cases = 0
     degree = trunc.max_t_degree if max_degree is None else max_degree
-    for mono in basis_monomials(variables, degree):
-        cases += 1
-        start = Series.of_monomial(trunc, mono)
-        lhs = whole.exp_apply(start)
-        rhs = x_op.exp_apply(tail.exp_apply(start))
-        if lhs != rhs:
-            mismatches.append(first_mismatch(f"exp(...) . {mono.render()}", lhs, rhs))
-            if len(mismatches) >= MAX_RECORDED_MISMATCHES:
-                break
-    return Report(
-        identity=identity,
-        pairing=pairing,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=cases,
-        mismatches=mismatches,
-    )
+    orders = [("exp(...)", [x_op, zassenhaus_tail(x_op, y_op, trunc)])]
+    cases = exp_basis_cases(x_op.add(y_op), orders, trunc, variables, degree)
+    return check(identity, pairing, trunc, cases)

@@ -22,10 +22,10 @@ from .hodge import (
     verify_hat_t,
     verify_w_factorization,
 )
-from .operators import Operator, OperatorClassError, first_mismatch
+from .operators import Case, Operator, OperatorClassError, check
 from .pairing import Pairing, pairing_from_spec, point_pairing
 from .rationals import odd_double_factorial
-from .report import MAX_RECORDED_MISMATCHES, Mismatch, Report, combine_reports
+from .report import Report
 from .series import (
     Monomial,
     PARAM_HBAR,
@@ -50,48 +50,30 @@ from .special import (
 )
 from .virasoro import (
     VirasoroBundle,
+    bracket_cases,
     build_virasoro,
+    build_x,
     delta_map,
-    verify_bracket,
-    verify_raised_odd_variable,
+    raised_odd_case,
+    u_weighted,
     verify_virasoro_split,
 )
 from .witten import default_hbar_offset, z_point
 
 __all__ = [
-    "SubstitutionPlan",
     "u_zero_substitute",
     "change_vars",
     "to_q_world",
     "verify_substitution_bridge",
     "verify_kernel_match",
     "verify_theta_recoloring",
+    "main_identity_case",
     "verify_hodge_to_gw",
     "log_true_coefficient",
     "VerificationConfig",
     "ALL_SUITES",
     "run_suite",
 ]
-
-
-@dataclass(frozen=True)
-class SubstitutionPlan:
-    """How t-world series cross into the q-world.
-
-    full:   t[n,a] -> (shift polynomial in q, u) plus the alternating constant
-            (-1)^n C_{n-1} u^{2(n-1)} when a = 0 and n >= 2;
-    u_zero: t[k,a] -> (2k-1)!! q[2k+1,a].
-
-    The full plan with the u-window closed to zero degenerates to u_zero.
-    """
-
-    mode: str
-    pairing: Pairing
-    trunc: Truncation
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("full", "u_zero"):
-            raise ValueError("mode must be 'full' or 'u_zero'")
 
 
 def u_zero_substitute(s: Series) -> Series:
@@ -123,12 +105,14 @@ def _full_replacement(n: int, alpha: int, trunc: Truncation) -> Series:
     return repl
 
 
-def change_vars(s: Series, plan: SubstitutionPlan) -> Series:
-    """Apply the plan's substitution to a t-world series (exact in the window)."""
-    if plan.trunc != s.trunc:
-        raise TruncationError("plan and series windows differ")
-    if plan.mode == "u_zero":
-        return u_zero_substitute(s)
+def change_vars(s: Series) -> Series:
+    """The full change of variables on a t-world series, exact in its window:
+
+    t[n,a] -> (shift polynomial in q, u) plus the alternating constant
+    (-1)^n C_{n-1} u^{2(n-1)} when a = 0 and n >= 2.
+
+    With the u-window closed to zero it degenerates to u_zero_substitute.
+    """
     rule: dict = {}
     for v in s.variables():
         if v.kind != "t":
@@ -177,50 +161,39 @@ def verify_substitution_bridge(
         raise ValueError("bridge check needs max_var_index >= 2 n_max + 1")
     shift_u = build_shift_u(pairing, trunc)
     p_u = build_p_u(trunc)
-    x_plus = build_virasoro(pairing, trunc).x_plus
-    plan = SubstitutionPlan("full", pairing, trunc)
-
-    def bridge_pair(g: Series) -> tuple[Series, Series]:
-        lhs = change_vars(shift_u.exp_apply(p_u.exp_apply(g)), plan)
-        rhs = x_plus.exp_apply(u_zero_substitute(g))
-        return lhs, rhs
-
-    mismatches: list[Mismatch] = []
-    cases = 0
-    for n in range(0, n_max + 1):
-        for a in pairing.colors():
-            cases += 1
-            lhs, rhs = bridge_pair(Series.of_var(trunc, t_var(n, a)))
-            if lhs != rhs:
-                mismatches.append(first_mismatch(f"bridge t[{n},{a}]", lhs, rhs))
+    a = solve_a_coeffs(trunc.max_u_degree)
+    x_plus = u_weighted(build_x, a, pairing, trunc)
     max_random_index = (trunc.max_var_index - 1) // 2
     pool = [
         t_var(i, a) for i in range(max_random_index + 1) for a in pairing.colors()
     ]
-    for i in range(random_count):
-        cases += 1
-        g = random_series(
-            seed + i,
-            trunc.replace(max_t_degree=min(random_degree, trunc.max_t_degree)),
-            term_count=6,
-            variables=pool,
-            max_u=min(2, trunc.max_u_degree),
-        ).truncated(trunc)
-        lhs, rhs = bridge_pair(g)
-        if lhs != rhs:
-            mismatches.append(
-                first_mismatch(f"bridge random seed={seed + i}", lhs, rhs)
-            )
-        if len(mismatches) >= MAX_RECORDED_MISMATCHES:
-            break
-    return Report(
-        identity="bridge",
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=cases,
-        mismatches=mismatches,
+    random_trunc = trunc.replace(
+        max_t_degree=min(random_degree, trunc.max_t_degree)
     )
+
+    def inputs():
+        for n in range(0, n_max + 1):
+            for a in pairing.colors():
+                yield f"bridge t[{n},{a}]", Series.of_var(trunc, t_var(n, a))
+        for i in range(random_count):
+            g = random_series(
+                seed + i,
+                random_trunc,
+                term_count=6,
+                variables=pool,
+                max_u=min(2, trunc.max_u_degree),
+            )
+            yield f"bridge random seed={seed + i}", g.truncated(trunc)
+
+    cases = (
+        (
+            tag,
+            change_vars(shift_u.exp_apply(p_u.exp_apply(g))),
+            x_plus.exp_apply(u_zero_substitute(g)),
+        )
+        for tag, g in inputs()
+    )
+    return check("bridge", pairing.name, trunc, cases)
 
 
 def verify_kernel_match(
@@ -234,17 +207,8 @@ def verify_kernel_match(
     if bundle is None:
         bundle = build_virasoro(pairing, trunc)
     transported = to_q_world(theta_map(q_u(trunc), pairing, trunc), trunc)
-    mismatches: list[Mismatch] = []
-    if transported != bundle.q_plus_odd:
-        mismatches.append(first_mismatch("kernel", transported, bundle.q_plus_odd))
-    return Report(
-        identity="kernel-match",
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=1,
-        mismatches=mismatches,
-    )
+    case = ("kernel", transported, bundle.q_plus_odd)
+    return check("kernel-match", pairing.name, trunc, [case])
 
 
 def verify_theta_recoloring(
@@ -252,38 +216,27 @@ def verify_theta_recoloring(
 ) -> Report:
     """Transporting the colored kernel map commutes with coloring the point kernel map."""
     pt = point_pairing()
-    mismatches: list[Mismatch] = []
-    cases = 0
-    for i in range(0, max_power + 1):
-        for j in range(0, max_power + 1):
-            if 2 * max(i, j) + 1 > trunc.max_var_index:
-                continue
-            cases += 1
-            xy = Series.of_monomial(
-                trunc, Monomial.build((), {PARAM_X: i, PARAM_Y: j})
-            )
-            colored = to_q_world(theta_map(xy, pairing, trunc), trunc)
-            recolored = delta_map(
-                to_q_world(theta_map(xy, pt, trunc), trunc), pairing
-            )
-            if colored != recolored:
-                mismatches.append(first_mismatch(f"x^{i} y^{j}", colored, recolored))
-    return Report(
-        identity="theta-recoloring",
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=cases,
-        mismatches=mismatches[:MAX_RECORDED_MISMATCHES],
-    )
+
+    def cases():
+        for i in range(0, max_power + 1):
+            for j in range(0, max_power + 1):
+                if 2 * max(i, j) + 1 > trunc.max_var_index:
+                    continue
+                xy = Series.of_monomial(
+                    trunc, Monomial.build((), {PARAM_X: i, PARAM_Y: j})
+                )
+                colored = to_q_world(theta_map(xy, pairing, trunc), trunc)
+                recolored = delta_map(
+                    to_q_world(theta_map(xy, pt, trunc), trunc), pairing
+                )
+                yield f"x^{i} y^{j}", colored, recolored
+
+    return check("theta-recoloring", pairing.name, trunc, cases())
 
 
-def verify_hodge_to_gw(
-    z: Series,
-    pairing: Pairing,
-    label: str = "theorem",
-    bundle: VirasoroBundle | None = None,
-) -> Report:
+def main_identity_case(
+    z: Series, pairing: Pairing, bundle: VirasoroBundle | None = None
+) -> Case:
     """The main identity on a concrete input series:
 
     {exp(flow_u) . z}|_full substitution  =  exp(sum a_m u^m L_m) . {z}|_u_zero.
@@ -296,20 +249,20 @@ def verify_hodge_to_gw(
         raise ValueError("window too narrow: need max_var_index >= 2*support+1")
     if bundle is None:
         bundle = build_virasoro(pairing, trunc)
-    plan = SubstitutionPlan("full", pairing, trunc)
-    lhs = change_vars(build_w_u(pairing, trunc).exp_apply(z), plan)
+    lhs = change_vars(build_w_u(pairing, trunc).exp_apply(z))
     rhs = bundle.l_weighted.exp_apply(u_zero_substitute(z))
-    mismatches: list[Mismatch] = []
-    if lhs != rhs:
-        mismatches.append(first_mismatch("main identity", lhs, rhs))
-    return Report(
-        identity=label,
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=1,
-        mismatches=mismatches,
-    )
+    return "main identity", lhs, rhs
+
+
+def verify_hodge_to_gw(
+    z: Series,
+    pairing: Pairing,
+    label: str = "theorem",
+    bundle: VirasoroBundle | None = None,
+) -> Report:
+    """main_identity_case(z) as one report."""
+    case = main_identity_case(z, pairing, bundle)
+    return check(label, pairing.name, z.trunc, [case])
 
 
 def log_true_coefficient(stored: Series, offset: int, target: Monomial) -> Fraction:
@@ -355,40 +308,28 @@ Bundle = Callable[[], VirasoroBundle]
 def _constants_suite(
     pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
 ) -> list[Report]:
-    mismatches: list[Mismatch] = []
-    a = solve_a_coeffs(10)
-    expected_a = [Fraction(2, 3), Fraction(-1, 12), Fraction(7, 540)]
-    for m, want in enumerate(expected_a, start=1):
-        if a[m - 1] != want:
-            mismatches.append(Mismatch(f"a_{m}", str(a[m - 1]), str(want)))
-    if flow_expansion(a, 10) != rhs_target(10):
-        mismatches.append(Mismatch("flow round trip (order 10)", "lhs", "rhs"))
-    expected_c = [
-        Fraction(1),
-        Fraction(1, 12),
-        Fraction(1, 288),
-        Fraction(-139, 51840),
-    ]
-    for i, want in enumerate(expected_c):
-        if c_const(i) != want:
-            mismatches.append(Mismatch(f"C_{i}", str(c_const(i)), str(want)))
-    for n in range(1, 11):
-        acc = sum(
-            Fraction((-1) ** (n - i)) * c_const(i) * c_const(n - i)
-            for i in range(n + 1)
-        )
-        if acc != 0:
-            mismatches.append(Mismatch(f"alternating C identity n={n}", str(acc), "0"))
-    return [
-        Report(
-            identity="constants",
-            pairing="-",
-            truncation=trunc.as_dict(),
-            passed=not mismatches,
-            cases=10 + len(expected_a) + len(expected_c) + 1,
-            mismatches=mismatches[:MAX_RECORDED_MISMATCHES],
-        )
-    ]
+    def cases():
+        a = solve_a_coeffs(10)
+        expected_a = [Fraction(2, 3), Fraction(-1, 12), Fraction(7, 540)]
+        for m, want in enumerate(expected_a, start=1):
+            yield f"a_{m}", a[m - 1], want
+        yield "flow round trip (order 10)", flow_expansion(a, 10), rhs_target(10)
+        expected_c = [
+            Fraction(1),
+            Fraction(1, 12),
+            Fraction(1, 288),
+            Fraction(-139, 51840),
+        ]
+        for i, want in enumerate(expected_c):
+            yield f"C_{i}", c_const(i), want
+        for n in range(1, 11):
+            acc = sum(
+                Fraction((-1) ** (n - i)) * c_const(i) * c_const(n - i)
+                for i in range(n + 1)
+            )
+            yield f"alternating C identity n={n}", acc, Fraction(0)
+
+    return [check("constants", "-", trunc, cases())]
 
 
 def _w_factorization_suite(
@@ -411,12 +352,13 @@ def _brackets_suite(
     pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
 ) -> list[Report]:
     m_hi = max(1, trunc.max_var_index // 2)
-    subs = [
-        verify_bracket(m, n, pairing, trunc)
+    cases = (
+        case
         for m in range(1, m_hi + 1)
         for n in range(1, m_hi + 1)
-    ]
-    return [combine_reports(f"brackets(m,n<={m_hi})", subs)]
+        for case in bracket_cases(m, n, pairing, trunc)
+    )
+    return [check(f"brackets(m,n<={m_hi})", pairing.name, trunc, cases)]
 
 
 def _virasoro_split_suite(
@@ -429,12 +371,12 @@ def _ex_closed_form_suite(
     pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
 ) -> list[Report]:
     n_hi = min((trunc.max_var_index - 1) // 2, trunc.max_u_degree // 2)
-    subs = [
-        verify_raised_odd_variable(n, a, pairing, trunc, bundle=bundle())
+    cases = (
+        raised_odd_case(n, a, pairing, trunc, bundle=bundle())
         for n in range(0, n_hi + 1)
         for a in pairing.colors()
-    ]
-    return [combine_reports(f"ex-closed-form(n<={n_hi})", subs)]
+    )
+    return [check(f"ex-closed-form(n<={n_hi})", pairing.name, trunc, cases)]
 
 
 def _bridge_suite(
@@ -460,37 +402,43 @@ def _theorem_suite(
         reports.append(
             verify_hodge_to_gw(z, pairing, label="theorem[point-dvv]", bundle=bundle())
         )
-        flowed = build_w_u(pairing, trunc).exp_apply(z)
-        got = log_true_coefficient(
-            flowed, offset, Monomial.build({t_var(0): 1}, {PARAM_U: 2})
-        )
-        ok = got == Fraction(-1, 24)
-        reports.append(
-            Report(
-                identity="theorem[one-point genus-1 log coefficient]",
-                pairing=pairing.name,
-                truncation=trunc.as_dict(),
-                passed=ok,
-                cases=1,
-                mismatches=[]
-                if ok
-                else [Mismatch("u^2 t[0,0] log coefficient", str(got), "-1/24")],
+        # log_true_coefficient's bargain for u^2 t[0,0] at true hbar^0: up to
+        # u^2 the flow is one step of D_1, which reaches t[0] from the genus-0
+        # term t[0]^3 (its hbar-contraction; t-degree 3, so offset >= 1) and
+        # from t[0] t[2] (its derivative d/dt[2]).  Both must lie in z's window,
+        # and the target, stored at hbar^offset, in the flowed window.
+        if (
+            trunc.max_t_degree >= 3
+            and support >= 2
+            and trunc.max_u_degree >= 2
+            and trunc.max_hbar_degree >= offset
+        ):
+            flowed = build_w_u(pairing, trunc).exp_apply(z)
+            got = log_true_coefficient(
+                flowed, offset, Monomial.build({t_var(0): 1}, {PARAM_U: 2})
             )
-        )
+            case = ("u^2 t[0,0] log coefficient", got, Fraction(-1, 24))
+            reports.append(
+                check(
+                    "theorem[one-point genus-1 log coefficient]",
+                    pairing.name,
+                    trunc,
+                    [case],
+                )
+            )
     pool = [t_var(i, a) for i in range(support + 1) for a in pairing.colors()]
-    subs = []
-    for i in range(10):
-        z = random_series(
+    randoms = (
+        random_series(
             seed + 100 + i,
             trunc,
             term_count=8,
             variables=pool,
             max_hbar=trunc.max_hbar_degree,
         )
-        subs.append(
-            verify_hodge_to_gw(z, pairing, label="theorem[random]", bundle=bundle())
-        )
-    reports.append(combine_reports("theorem[random x10]", subs))
+        for i in range(10)
+    )
+    cases = (main_identity_case(z, pairing, bundle()) for z in randoms)
+    reports.append(check("theorem[random x10]", pairing.name, trunc, cases))
     reports.append(verify_kernel_match(pairing, trunc, bundle=bundle()))
     return reports
 

@@ -7,8 +7,8 @@ point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
 __all__ = [
@@ -17,27 +17,22 @@ __all__ = [
     "binomial",
 ]
 
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
 
-
+@functools.cache
 def bernoulli(m: int) -> Fraction:
     """B_m with the x/(e^x - 1) convention (B_1 = -1/2, B_odd = 0 for m >= 3).
 
-    Computed from the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 and memoized.
+    Computed from the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 and memoized;
+    the sum visits j in increasing order, so each B_j it needs is already cached.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if m < len(_BERNOULLI_CACHE):
-        return _BERNOULLI_CACHE[m]
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI_CACHE) <= m:
-            n = len(_BERNOULLI_CACHE)
-            acc = Fraction(0)
-            for j in range(n):
-                acc += math.comb(n + 1, j) * _BERNOULLI_CACHE[j]
-            _BERNOULLI_CACHE.append(-acc / (n + 1))
-    return _BERNOULLI_CACHE[m]
+    if m == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(m):
+        acc += math.comb(m + 1, j) * bernoulli(j)
+    return -acc / (m + 1)
 
 
 def odd_double_factorial(k: int) -> int:

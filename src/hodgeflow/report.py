@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Report", "Mismatch", "combine_reports"]
+__all__ = ["Report", "Mismatch"]
 
 MAX_RECORDED_MISMATCHES = 5
 
@@ -52,18 +52,3 @@ class Report:
             first = self.mismatches[0]
             line += f" first_mismatch={first.monomial}: {first.lhs} != {first.rhs}"
         return line
-
-
-def combine_reports(identity: str, reports: list[Report]) -> Report:
-    """Aggregate: passes iff every sub-report passes."""
-    mismatches: list[Mismatch] = []
-    for r in reports:
-        mismatches.extend(r.mismatches)
-    return Report(
-        identity=identity,
-        pairing=", ".join(dict.fromkeys(r.pairing for r in reports)) or "-",
-        truncation=reports[0].truncation if reports else {},
-        passed=all(r.passed for r in reports),
-        cases=sum(r.cases for r in reports),
-        mismatches=mismatches[:MAX_RECORDED_MISMATCHES],
-    )

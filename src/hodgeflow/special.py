@@ -16,8 +16,8 @@ power of z alongside the inverse-power tail.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 from typing import Iterator
 
@@ -58,8 +58,6 @@ __all__ = [
     "solve_a_coeffs",
 ]
 
-_LOCK = threading.Lock()
-
 
 def omega_bernoulli(l: int) -> Fraction:
     """The coupling value -B_{2l} / (2l (2l-1)) selecting the single-lambda flow."""
@@ -95,7 +93,23 @@ def _odd_partitions(total: int, largest: int | None = None) -> Iterator[list[int
             yield [part] + rest
 
 
-_R_CACHE: dict[int, dict[Monomial, Fraction]] = {}
+@functools.cache
+def _r_terms(i: int) -> dict[Monomial, Fraction]:
+    """The coefficient map of r_poly(i), built once per i."""
+    terms: dict[Monomial, Fraction] = {}
+    for parts in _odd_partitions(i):
+        counts: dict[int, int] = {}
+        for w in parts:
+            counts[w] = counts.get(w, 0) + 1
+        coeff = Fraction(1)
+        params: dict[ParamId, int] = {}
+        for w, mult in counts.items():
+            l = (w + 1) // 2
+            coeff *= Fraction((-1) ** mult, math.factorial(mult))
+            params[omega_param(l)] = mult
+        # each odd partition gives its own coupling monomial
+        terms[Monomial.build((), params)] = coeff
+    return terms
 
 
 def r_poly(i: int, trunc: Truncation | None = None) -> Series:
@@ -106,26 +120,9 @@ def r_poly(i: int, trunc: Truncation | None = None) -> Series:
     """
     if i < 0:
         raise ValueError("i must be >= 0")
-    with _LOCK:
-        cached = _R_CACHE.get(i)
-        if cached is None:
-            cached = {}
-            for parts in _odd_partitions(i):
-                counts: dict[int, int] = {}
-                for w in parts:
-                    counts[w] = counts.get(w, 0) + 1
-                coeff = Fraction(1)
-                params: dict[ParamId, int] = {}
-                for w, mult in counts.items():
-                    l = (w + 1) // 2
-                    coeff *= Fraction((-1) ** mult, math.factorial(mult))
-                    params[omega_param(l)] = mult
-                # each odd partition gives its own coupling monomial
-                cached[Monomial.build((), params)] = coeff
-            _R_CACHE[i] = cached
     if trunc is None:
         trunc = Truncation(0, 0, 0, 0, i)
-    return Series(trunc, cached)
+    return Series(trunc, _r_terms(i))
 
 
 def _eval_at_bernoulli(s: Series, u_power_per_weight: int = 0) -> Series:
@@ -146,15 +143,9 @@ def _eval_at_bernoulli(s: Series, u_power_per_weight: int = 0) -> Series:
     return s.substitute(rule)
 
 
-_C_CACHE: dict[int, Fraction] = {}
-
-
+@functools.cache
 def c_const(i: int) -> Fraction:
     """r_poly(i) evaluated at the single-lambda couplings; C_0 = 1, C_1 = 1/12."""
-    with _LOCK:
-        got = _C_CACHE.get(i)
-    if got is not None:
-        return got
     total = Fraction(0)
     for m, coeff in r_poly(i).terms.items():
         value = coeff
@@ -162,8 +153,6 @@ def c_const(i: int) -> Fraction:
             if p.kind == "w":
                 value *= omega_bernoulli(p.index) ** e
         total += value
-    with _LOCK:
-        _C_CACHE[i] = total
     return total
 
 
@@ -294,27 +283,19 @@ def q_u(trunc: Truncation) -> Series:
 # -- shift polynomials ---------------------------------------------------------
 
 
-_PHI_CACHE: dict[int, dict[tuple[int, int], Fraction]] = {}
-
-
+@functools.cache
 def phi_coefficients(k: int) -> dict[tuple[int, int], Fraction]:
     """Exponent map (u_exp, z_exp) -> coefficient of the k-th shift polynomial."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    with _LOCK:
-        if not _PHI_CACHE:
-            _PHI_CACHE[0] = {(0, 1): Fraction(1)}
-        top = max(_PHI_CACHE)
-        cur = _PHI_CACHE[min(k, top)]
-        for kk in range(min(k, top) + 1, k + 1):
-            nxt: dict[tuple[int, int], Fraction] = {}
-            for (a, j), c in cur.items():
-                base = c * j
-                for da, dj, w in ((2, 0, 1), (1, 1, 2), (0, 2, 1)):
-                    _accumulate(nxt, (a + da, j + dj), base * w)
-            _PHI_CACHE[kk] = nxt
-            cur = nxt
-        return _PHI_CACHE[k]
+    if k == 0:
+        return {(0, 1): Fraction(1)}
+    out: dict[tuple[int, int], Fraction] = {}
+    for (a, j), c in phi_coefficients(k - 1).items():
+        base = c * j
+        for da, dj, w in ((2, 0, 1), (1, 1, 2), (0, 2, 1)):
+            _accumulate(out, (a + da, j + dj), base * w)
+    return out
 
 
 def phi(k: int) -> Series:

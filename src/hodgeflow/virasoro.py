@@ -15,23 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .operators import (
+    Case,
     Operator,
     OperatorClassError,
-    first_mismatch,
+    check,
+    exp_basis_cases,
     zassenhaus_tail,
 )
 from .pairing import Pairing, point_pairing
 from .rationals import odd_double_factorial
-from .report import MAX_RECORDED_MISMATCHES, Mismatch, Report
+from .report import Report
 from .series import (
     Monomial,
     PARAM_HBAR,
     PARAM_U,
     Series,
     Truncation,
-    basis_monomials,
     q_var,
 )
 from .special import c_const, phi_tilde, solve_a_coeffs
@@ -40,12 +42,15 @@ __all__ = [
     "build_x",
     "build_y",
     "build_l",
+    "u_weighted",
     "VirasoroBundle",
     "build_virasoro",
+    "bracket_cases",
     "verify_bracket",
     "delta_map",
     "odd_part",
     "verify_virasoro_split",
+    "raised_odd_case",
     "verify_raised_odd_variable",
     "q_variables",
 ]
@@ -94,6 +99,19 @@ def build_l(m: int, pairing: Pairing, trunc: Truncation) -> Operator:
     )
 
 
+def u_weighted(
+    build: Callable[[int, Pairing, Truncation], Operator],
+    a: Sequence[Fraction],
+    pairing: Pairing,
+    trunc: Truncation,
+) -> Operator:
+    """sum_m a_m u^m build(m), m = 1 .. len(a): X+ from build_x, Y+ from build_y."""
+    out = Operator.zero()
+    for m, a_m in enumerate(a, start=1):
+        out = out.add(build(m, pairing, trunc).scale(a_m, {PARAM_U: m}))
+    return out
+
+
 @dataclass(frozen=True)
 class VirasoroBundle:
     """All window-bounded raising operators plus their u-weighted aggregates."""
@@ -118,12 +136,8 @@ def build_virasoro(
     if m_max < 1:
         raise ValueError("need m_max >= 1")
     a = tuple(solve_a_coeffs(m_max))
-    x_plus = Operator.zero()
-    y_plus = Operator.zero()
-    for m in range(1, m_max + 1):
-        u_m = {PARAM_U: m}
-        x_plus = x_plus.add(build_x(m, pairing, trunc).scale(a[m - 1], u_m))
-        y_plus = y_plus.add(build_y(m, pairing, trunc).scale(a[m - 1], u_m))
+    x_plus = u_weighted(build_x, a, pairing, trunc)
+    y_plus = u_weighted(build_y, a, pairing, trunc)
     l_weighted = x_plus.add(y_plus.scale(Fraction(1, 2), {PARAM_HBAR: 1}))
     q_plus = zassenhaus_tail(x_plus, y_plus, trunc)
     return VirasoroBundle(
@@ -151,7 +165,7 @@ def odd_part(op: Operator) -> Operator:
     return Operator(out, _clean=True)
 
 
-def verify_bracket(m: int, n: int, pairing: Pairing, trunc: Truncation) -> Report:
+def bracket_cases(m: int, n: int, pairing: Pairing, trunc: Truncation) -> list[Case]:
     """[L_m, L_n] = (m-n) L_{m+n} symbolically, plus its two graded halves.
 
     Exact on the windowed ring provided m + n <= max_var_index.
@@ -160,7 +174,7 @@ def verify_bracket(m: int, n: int, pairing: Pairing, trunc: Truncation) -> Repor
         raise ValueError("bracket check needs max_var_index >= m + n")
     xm, xn = build_x(m, pairing, trunc), build_x(n, pairing, trunc)
     ym, yn = build_y(m, pairing, trunc), build_y(n, pairing, trunc)
-    sides = [
+    return [
         (
             f"[L{m},L{n}]",
             build_l(m, pairing, trunc).commutator(build_l(n, pairing, trunc)),
@@ -177,17 +191,12 @@ def verify_bracket(m: int, n: int, pairing: Pairing, trunc: Truncation) -> Repor
             build_y(m + n, pairing, trunc).scale(m - n),
         ),
     ]
-    mismatches = [
-        first_mismatch(tag, lhs, rhs) for tag, lhs, rhs in sides if lhs != rhs
-    ]
-    return Report(
-        identity=f"bracket({m},{n})",
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=3,
-        mismatches=mismatches,
-    )
+
+
+def verify_bracket(m: int, n: int, pairing: Pairing, trunc: Truncation) -> Report:
+    """The three cases of bracket_cases(m, n) as one report."""
+    cases = bracket_cases(m, n, pairing, trunc)
+    return check(f"bracket({m},{n})", pairing.name, trunc, cases)
 
 
 def delta_map(op_pt: Operator, pairing: Pairing) -> Operator:
@@ -224,48 +233,34 @@ def verify_virasoro_split(bundle: VirasoroBundle, max_degree: int | None = None)
     trunc = bundle.trunc
     pairing = bundle.pairing
     q_half = bundle.q_plus.scale(Fraction(1, 2), {PARAM_HBAR: 1})
-    mismatches: list[Mismatch] = []
-    cases = 0
     degree = trunc.max_t_degree if max_degree is None else max_degree
-    for mono in basis_monomials(q_variables(pairing, trunc), degree):
-        cases += 1
-        start = Series.of_monomial(trunc, mono)
-        lhs = bundle.l_weighted.exp_apply(start)
-        rhs = bundle.x_plus.exp_apply(q_half.exp_apply(start))
-        if lhs != rhs:
-            mismatches.append(first_mismatch(f"split . {mono.render()}", lhs, rhs))
-            if len(mismatches) >= MAX_RECORDED_MISMATCHES:
-                break
-    cases += 1
-    pt_bundle = (
-        bundle
-        if bundle.pairing.rank == 1 and bundle.pairing.eta[0][0] == 1
-        else build_virasoro(point_pairing(), trunc, bundle.m_max)
-    )
-    recolored = delta_map(pt_bundle.q_plus_odd, pairing)
-    if recolored != bundle.q_plus_odd:
-        mismatches.append(
-            first_mismatch(
-                "odd tower vs recolored point tower", bundle.q_plus_odd, recolored
-            )
+
+    def cases():
+        yield from exp_basis_cases(
+            bundle.l_weighted,
+            [("split", [bundle.x_plus, q_half])],
+            trunc,
+            q_variables(pairing, trunc),
+            degree,
         )
-    return Report(
-        identity="virasoro-split",
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=cases,
-        mismatches=mismatches,
-    )
+        pt_bundle = (
+            bundle
+            if pairing.rank == 1 and pairing.eta[0][0] == 1
+            else build_virasoro(point_pairing(), trunc, bundle.m_max)
+        )
+        recolored = delta_map(pt_bundle.q_plus_odd, pairing)
+        yield "odd tower vs recolored point tower", bundle.q_plus_odd, recolored
+
+    return check("virasoro-split", pairing.name, trunc, cases())
 
 
-def verify_raised_odd_variable(
+def raised_odd_case(
     n: int,
     alpha: int,
     pairing: Pairing,
     trunc: Truncation,
     bundle: VirasoroBundle | None = None,
-) -> Report:
+) -> Case:
     """exp(X+) . q[2n+1, a] = 1/(2n-1)!! sum_i C_i u^{2i} (shift polynomial)_{n-i}.
 
     Exact once the u-window reaches 2n (the full polynomial degree).
@@ -285,14 +280,16 @@ def verify_raised_odd_variable(
             piece = piece.scale(c_const(i))
         rhs = rhs.add(piece)
     rhs = rhs.scale(Fraction(1, odd_double_factorial(n)))
-    mismatches: list[Mismatch] = []
-    if lhs != rhs:
-        mismatches.append(first_mismatch(f"raise q[{2*n+1},{alpha}]", lhs, rhs))
-    return Report(
-        identity=f"ex-closed-form(n={n},a={alpha})",
-        pairing=pairing.name,
-        truncation=trunc.as_dict(),
-        passed=not mismatches,
-        cases=1,
-        mismatches=mismatches,
-    )
+    return f"raise q[{2*n+1},{alpha}]", lhs, rhs
+
+
+def verify_raised_odd_variable(
+    n: int,
+    alpha: int,
+    pairing: Pairing,
+    trunc: Truncation,
+    bundle: VirasoroBundle | None = None,
+) -> Report:
+    """raised_odd_case(n, alpha) as one report."""
+    case = raised_odd_case(n, alpha, pairing, trunc, bundle)
+    return check(f"ex-closed-form(n={n},a={alpha})", pairing.name, trunc, [case])

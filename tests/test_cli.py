@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, table output, config rejection."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hodgeflow.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_constants_json(capsys):
@@ -104,3 +107,18 @@ def test_theorem_command_small(capsys):
     assert code == 0
     reports = json.loads(capsys.readouterr().out)
     assert any(r["identity"].startswith("theorem") for r in reports)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "--format", "json"], "verify.json"),
+        (["constants", "--format", "json"], "constants.json"),
+        (["oracle"], "oracle.json"),
+    ],
+    ids=["verify", "constants", "oracle"],
+)
+def test_output_matches_golden(capsys, argv, name):
+    # the files hold the stdout of these commands at the default windows
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

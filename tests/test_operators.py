@@ -13,6 +13,8 @@ from hodgeflow.operators import (
     GradingError,
     Operator,
     OperatorClassError,
+    check,
+    exp_basis_cases,
     first_mismatch,
     verify_zassenhaus_factorization,
     zassenhaus_tail,
@@ -409,6 +411,37 @@ def test_first_mismatch_on_operators():
     assert first_mismatch("op", shift.scale(2), lhs) == Mismatch(
         "op at t[0,0] d/dt[1,0]", "4", "2"
     )
+
+
+def test_first_mismatch_on_scalars():
+    assert first_mismatch("C_2", Fraction(1, 288), Fraction(-1, 24)) == Mismatch(
+        "C_2", "1/288", "-1/24"
+    )
+
+
+def test_check_counts_every_case_and_caps_mismatches():
+    # seven of fourteen cases fail: all are counted, the first five are named
+    cases = [(f"case {i}", Fraction(i % 2), Fraction(0)) for i in range(14)]
+    r = check("parity", "-", TR, cases)
+    assert not r.passed
+    assert r.cases == 14
+    assert r.mismatches == [Mismatch(f"case {i}", "1", "0") for i in (1, 3, 5, 7, 9)]
+    assert r.truncation == TR.as_dict()
+    ok = check("parity", "-", TR, (c for c in cases if c[1] == 0))
+    assert ok.passed and ok.cases == 7 and ok.mismatches == []
+
+
+def test_exp_basis_cases_cover_every_order():
+    # one case per basis monomial; it carries the first order that differs,
+    # else the last order
+    x = Operator.atom(1, params={PARAM_U: 1}, deriv=[t_var(0)])
+    for orders in (
+        [("equal", [x]), ("doubled", [x.scale(2)])],
+        [("doubled", [x.scale(2)]), ("equal", [x])],
+    ):
+        r = check("orders", "-", TR, exp_basis_cases(x, orders, TR, [t_var(0)], 1))
+        assert r.cases == 2
+        assert r.mismatches == [Mismatch("doubled . t[0,0] at u", "1", "2")]
 
 
 def test_commutator_matches_compose_difference():

@@ -7,6 +7,7 @@ import pytest
 
 from hodgeflow.operators import Operator, OperatorClassError
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
+from hodgeflow.report import Mismatch
 from hodgeflow.series import (
     Monomial,
     PARAM_U,
@@ -159,6 +160,23 @@ def test_virasoro_split_fails_on_perturbed_tower(pairing):
     r = verify_virasoro_split(dataclasses.replace(b, q_plus=broken))
     assert not r.passed
     assert r.mismatches and r.mismatches[0].monomial.startswith("split")
+    assert r.cases == verify_virasoro_split(b).cases
+    assert len(r.mismatches) <= 5
+
+
+def test_virasoro_split_doubled_towers_counts_every_case():
+    # 91 basis monomials plus the recoloring case, whatever fails
+    b = build_virasoro(H2, Truncation(2, 6, 6, 1, 0))
+    doubled = dataclasses.replace(
+        b, q_plus=b.q_plus.scale(2), q_plus_odd=b.q_plus_odd.scale(2)
+    )
+    r = verify_virasoro_split(doubled)
+    assert not r.passed
+    assert r.cases == 92
+    assert len(r.mismatches) == 5
+    assert r.mismatches[0] == Mismatch(
+        "split . q[1,0] * q[1,1] at hbar * u^2", "-1/12", "-1/6"
+    )
 
 
 def test_split_reduces_to_x_plus_on_hbar_free_slice():
