@@ -15,12 +15,9 @@ from .series import (
     VarId,
     basis_monomials,
     exp_nilpotent,
-    log_one_plus,
-    multi_u_param,
     omega_param,
     q_var,
     random_series,
-    s_param,
     t_var,
 )
 from .operators import GradingError, Operator, OperatorClassError
@@ -44,7 +41,6 @@ from .hodge import (
     build_w_omega,
     build_w_u,
     hat_t,
-    hodge_flow,
     instantiate_omega,
     theta_map,
 )

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .pipeline import ALL_SUITES, VerificationConfig, run_suite
-from .special import c_const, r_poly, solve_a_coeffs
+from .special import CrossCheckError, c_const, r_poly, solve_a_coeffs
 from .witten import correlator_dimension_ok, intersection
 
 
@@ -134,7 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     p_oracle.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CrossCheckError as exc:
+        print(f"internal cross-check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

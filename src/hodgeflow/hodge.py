@@ -16,15 +16,12 @@ window.
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterator
 
-from .operators import Operator, check, exp_basis_cases
+from .operators import Case, Operator, check, exp_basis_cases
 from .pairing import Pairing
-from .rationals import bernoulli
 from .report import Report
 from .series import (
     Monomial,
@@ -35,12 +32,10 @@ from .series import (
     ParamId,
     Series,
     Truncation,
-    multi_u_param,
     omega_param,
-    s_param,
     t_var,
 )
-from .special import omega_bernoulli, q_omega, q_u, r_poly
+from .special import omega_bernoulli, q_omega, r_poly, single_lambda_rule, u_wide
 
 __all__ = [
     "WOmegaParts",
@@ -50,15 +45,14 @@ __all__ = [
     "build_w_u",
     "build_shift_u",
     "build_p_u",
-    "omega_instantiation_rule",
     "instantiate_omega",
     "theta_map",
     "build_p",
     "hat_t",
     "t_variables",
+    "factorization_cases",
     "verify_w_factorization",
     "verify_hat_t",
-    "hodge_flow",
 ]
 
 
@@ -172,91 +166,22 @@ def build_w_u(pairing: Pairing, trunc: Truncation) -> Operator:
     return op
 
 
-def _u_wide(trunc: Truncation) -> Truncation:
-    # a coupling of weight w instantiates to u^{2w}
-    return trunc.replace(
-        max_omega_weight=max(trunc.max_omega_weight, trunc.max_u_degree // 2)
-    )
-
-
 def build_shift_u(pairing: Pairing, trunc: Truncation) -> Operator:
     """The index-shifting part at the single-lambda couplings, ranged by the u window."""
-    wide = _u_wide(trunc)
-    return instantiate_omega(w_omega_parts(pairing, wide).shift, "from_u", wide)
+    wide = u_wide(trunc)
+    return instantiate_omega(w_omega_parts(pairing, wide).shift, wide)
 
 
 def build_p_u(trunc: Truncation) -> Operator:
     """The coordinate-shift generator at the single-lambda couplings."""
-    wide = _u_wide(trunc)
-    return instantiate_omega(build_p(wide), "from_u", wide)
+    wide = u_wide(trunc)
+    return instantiate_omega(build_p(wide), wide)
 
 
-def omega_instantiation_rule(
-    levels: Iterable[int], mode: str, trunc: Truncation, k: int = 1
-) -> dict[ParamId, Series]:
-    """Replacement series for w[l], l in levels, under the named instantiation.
-
-    from_u:        w[l] -> -B_{2l}/(2l(2l-1)) u^{2(2l-1)}
-    from_s:        w[l] ->  B_{2l}/(2l)!      s[2l-1]
-    from_multi_u:  w[l] -> -B_{2l}/(2l(2l-1)) (v1^{2(2l-1)} + ... + vk^{2(2l-1)})
-    """
-    rule: dict[ParamId, Series] = {}
-    for l in set(levels):
-        p = omega_param(l)
-        if mode == "from_u":
-            rule[p] = Series.of_monomial(
-                trunc,
-                Monomial.build((), {PARAM_U: 2 * (2 * l - 1)}),
-                omega_bernoulli(l),
-            )
-        elif mode == "from_s":
-            rule[p] = Series.of_monomial(
-                trunc,
-                Monomial.build((), {s_param(2 * l - 1): 1}),
-                bernoulli(2 * l) / math.factorial(2 * l),
-            )
-        elif mode == "from_multi_u":
-            if k < 1:
-                raise ValueError("from_multi_u needs k >= 1")
-            rule[p] = Series(
-                trunc,
-                {
-                    Monomial.build((), {multi_u_param(j): 2 * (2 * l - 1)}):
-                        omega_bernoulli(l)
-                    for j in range(1, k + 1)
-                },
-            )
-        else:
-            raise ValueError(f"unknown instantiation mode: {mode}")
-    return rule
-
-
-def _omega_levels(obj: Operator | Series) -> set[int]:
-    levels: set[int] = set()
-    if isinstance(obj, Operator):
-        for (params, _, _) in obj.atoms:
-            levels.update(p.index for p, _ in params if p.kind == "w")
-    else:
-        for m in obj.terms:
-            levels.update(p.index for p, _ in m.params if p.kind == "w")
-    return levels
-
-
-def instantiate_omega(
-    obj: Operator | Series,
-    mode: str,
-    trunc: Truncation | None = None,
-    k: int = 1,
-):
-    """Replace every coupling w[l] in an operator or series per the named mode."""
-    if isinstance(obj, Series):
-        trunc = obj.trunc if trunc is None else trunc
-        rule = omega_instantiation_rule(_omega_levels(obj), mode, trunc, k)
-        return obj.substitute(rule)
-    if trunc is None:
-        raise ValueError("operator instantiation needs an explicit truncation")
-    rule = omega_instantiation_rule(_omega_levels(obj), mode, trunc, k)
-    return obj.substitute_params(rule, trunc)
+def instantiate_omega(op: Operator, trunc: Truncation) -> Operator:
+    """Replace every coupling w[l] in an operator by its single-lambda value
+    -B_{2l}/(2l(2l-1)) u^{2(2l-1)}."""
+    return op.substitute_params(single_lambda_rule(trunc), trunc)
 
 
 def theta_map(b: Series, pairing: Pairing, trunc: Truncation) -> Operator:
@@ -319,40 +244,36 @@ def hat_t(n: int, alpha: int, trunc: Truncation) -> Series:
     return out
 
 
-def verify_w_factorization(
+def factorization_cases(
     pairing: Pairing,
     trunc: Truncation,
-    mode: str | None = None,
-) -> Report:
-    """exp(total) = exp(shift) exp((hbar/2) kernel) exp(coordinate shift) on the basis.
+    whole: Operator,
+    shift: Operator,
+    kernel: Operator,
+    p_shift: Operator,
+) -> Iterator[Case]:
+    """exp(whole) = exp(shift) exp((hbar/2) kernel) exp(p_shift) on the basis.
 
-    Both factor orders of the two commuting right factors are checked.  With
-    mode="from_u" all operators are instantiated at the single-lambda couplings
-    first and the identity is checked in the u-graded window.
+    Both factor orders of the two commuting right factors are checked.
     """
-    if mode == "from_u":
-        whole = build_w_u(pairing, trunc)
-        shift = build_shift_u(pairing, trunc)
-        q_kernel = theta_map(q_u(trunc), pairing, trunc)
-        p_shift = build_p_u(trunc)
-    elif mode is None:
-        parts = w_omega_parts(pairing, trunc)
-        whole = parts.total()
-        shift = parts.shift
-        q_kernel = theta_map(q_omega(trunc), pairing, trunc)
-        p_shift = build_p(trunc)
-    else:
-        raise ValueError("mode must be None or 'from_u'")
-    q_half = q_kernel.scale(Fraction(1, 2), {PARAM_HBAR: 1})
-
-    label = "w-factorization" + (f"[{mode}]" if mode else "")
+    q_half = kernel.scale(Fraction(1, 2), {PARAM_HBAR: 1})
     orders = [
         ("q.p order", [shift, q_half, p_shift]),
         ("p.q order", [shift, p_shift, q_half]),
     ]
     variables = t_variables(pairing, trunc)
-    cases = exp_basis_cases(whole, orders, trunc, variables, trunc.max_t_degree)
-    return check(label, pairing.name, trunc, cases)
+    return exp_basis_cases(whole, orders, trunc, variables, trunc.max_t_degree)
+
+
+def verify_w_factorization(pairing: Pairing, trunc: Truncation) -> Report:
+    """factorization_cases at the formal couplings w[l]; the pipeline checks the
+    same identity at the single-lambda couplings as w-factorization[from_u]."""
+    parts = w_omega_parts(pairing, trunc)
+    kernel = theta_map(q_omega(trunc), pairing, trunc)
+    cases = factorization_cases(
+        pairing, trunc, parts.total(), parts.shift, kernel, build_p(trunc)
+    )
+    return check("w-factorization", pairing.name, trunc, cases)
 
 
 def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
@@ -393,24 +314,3 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
 
     return check("hat-t", pairing.name, trunc, cases())
 
-
-def hodge_flow(
-    z: Series, mode: str, pairing: Pairing, k: int = 1
-) -> Series:
-    """exp of the instantiated flow generator applied to a descendant series.
-
-    from_u and from_multi_u range the generator sum by the u window (weight w
-    instantiates to u^{2w}); from_s keeps the coupling-weight window, since the
-    s-parameters are graded exactly like the couplings they replace.
-    """
-    trunc = z.trunc
-    if mode == "from_u":
-        op = build_w_u(pairing, trunc)
-    elif mode == "from_multi_u":
-        wide = _u_wide(trunc)
-        op = instantiate_omega(build_w_omega(pairing, wide), mode, wide, k).truncate(
-            trunc
-        )
-    else:
-        op = instantiate_omega(build_w_omega(pairing, trunc), mode, trunc, k)
-    return op.exp_apply(z)

@@ -12,12 +12,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from .hodge import (
     build_p_u,
     build_shift_u,
     build_w_u,
+    factorization_cases,
     theta_map,
     verify_hat_t,
     verify_w_factorization,
@@ -36,6 +38,7 @@ from .series import (
     Truncation,
     TruncationError,
     _accumulate,
+    basis_monomials,
     q_var,
     random_series,
     t_var,
@@ -51,20 +54,20 @@ from .special import (
 from .virasoro import (
     VirasoroBundle,
     bracket_cases,
-    build_virasoro,
-    build_x,
     delta_map,
     raised_odd_case,
-    u_weighted,
     verify_virasoro_split,
 )
 from .witten import default_hbar_offset, z_point
 
 __all__ = [
+    "Context",
     "u_zero_substitute",
     "change_vars",
     "to_q_world",
+    "bridge_cases",
     "verify_substitution_bridge",
+    "kernel_match_case",
     "verify_kernel_match",
     "verify_theta_recoloring",
     "main_identity_case",
@@ -74,6 +77,34 @@ __all__ = [
     "ALL_SUITES",
     "run_suite",
 ]
+
+
+class Context(VirasoroBundle):
+    """The operators of one run at one pairing and window, each built on first use
+    and then kept: the raising side of VirasoroBundle (a, X+, Y+, L+, Q+ and its
+    odd part) and the flow side below.
+
+    The builders are looked up among this module's globals when a field is first
+    read, so rebinding one here (a negative control, the bench tracer) changes
+    what the context builds.
+    """
+
+    @functools.cached_property
+    def w_u(self) -> Operator:
+        return build_w_u(self.pairing, self.trunc)
+
+    @functools.cached_property
+    def shift_u(self) -> Operator:
+        return build_shift_u(self.pairing, self.trunc)
+
+    @functools.cached_property
+    def p_u(self) -> Operator:
+        return build_p_u(self.trunc)
+
+    @functools.cached_property
+    def kernel(self) -> Operator:
+        """theta(q_u), the quantized kernel at the single-lambda couplings."""
+        return theta_map(q_u(self.trunc), self.pairing, self.trunc)
 
 
 def u_zero_substitute(s: Series) -> Series:
@@ -144,25 +175,21 @@ def to_q_world(op: Operator, trunc: Truncation) -> Operator:
     return Operator(out, _clean=True)
 
 
-def verify_substitution_bridge(
-    pairing: Pairing,
-    trunc: Truncation,
+def bridge_cases(
+    ctx: Context,
     n_max: int,
-    seed: int = 0,
+    seed: int,
     random_count: int = 10,
     random_degree: int = 2,
-) -> Report:
+) -> Iterator[Case]:
     """{exp(shift_u) exp(p_u) . G}|_full  =  exp(X+) . {G}|_u_zero.
 
     Driven on every coordinate t[n,a] for n <= n_max and on seeded random G.
     Needs max_var_index >= 2 n_max + 1.
     """
+    pairing, trunc = ctx.pairing, ctx.trunc
     if 2 * n_max + 1 > trunc.max_var_index:
         raise ValueError("bridge check needs max_var_index >= 2 n_max + 1")
-    shift_u = build_shift_u(pairing, trunc)
-    p_u = build_p_u(trunc)
-    a = solve_a_coeffs(trunc.max_u_degree)
-    x_plus = u_weighted(build_x, a, pairing, trunc)
     max_random_index = (trunc.max_var_index - 1) // 2
     pool = [
         t_var(i, a) for i in range(max_random_index + 1) for a in pairing.colors()
@@ -185,29 +212,37 @@ def verify_substitution_bridge(
             )
             yield f"bridge random seed={seed + i}", g.truncated(trunc)
 
-    cases = (
-        (
-            tag,
-            change_vars(shift_u.exp_apply(p_u.exp_apply(g))),
-            x_plus.exp_apply(u_zero_substitute(g)),
-        )
-        for tag, g in inputs()
-    )
+    for tag, g in inputs():
+        lhs = change_vars(ctx.shift_u.exp_apply(ctx.p_u.exp_apply(g)))
+        yield tag, lhs, ctx.x_plus.exp_apply(u_zero_substitute(g))
+
+
+def verify_substitution_bridge(
+    pairing: Pairing,
+    trunc: Truncation,
+    n_max: int,
+    seed: int = 0,
+    random_count: int = 10,
+    random_degree: int = 2,
+) -> Report:
+    """bridge_cases as one report."""
+    ctx = Context(pairing, trunc)
+    cases = bridge_cases(ctx, n_max, seed, random_count, random_degree)
     return check("bridge", pairing.name, trunc, cases)
 
 
-def verify_kernel_match(
-    pairing: Pairing, trunc: Truncation, bundle: VirasoroBundle | None = None
-) -> Report:
+def kernel_match_case(ctx: Context) -> Case:
     """The quantized kernel transported to the q-world equals the odd ad-tower.
 
     Atom-by-atom operator equality; the linchpin connecting the flow side to
     the raising-operator side.
     """
-    if bundle is None:
-        bundle = build_virasoro(pairing, trunc)
-    transported = to_q_world(theta_map(q_u(trunc), pairing, trunc), trunc)
-    case = ("kernel", transported, bundle.q_plus_odd)
+    return "kernel", to_q_world(ctx.kernel, ctx.trunc), ctx.q_plus_odd
+
+
+def verify_kernel_match(pairing: Pairing, trunc: Truncation) -> Report:
+    """kernel_match_case as one report."""
+    case = kernel_match_case(Context(pairing, trunc))
     return check("kernel-match", pairing.name, trunc, [case])
 
 
@@ -234,10 +269,8 @@ def verify_theta_recoloring(
     return check("theta-recoloring", pairing.name, trunc, cases())
 
 
-def main_identity_case(
-    z: Series, pairing: Pairing, bundle: VirasoroBundle | None = None
-) -> Case:
-    """The main identity on a concrete input series:
+def main_identity_case(z: Series, ctx: Context) -> Case:
+    """The main identity on a concrete input series, with ctx built at z's window:
 
     {exp(flow_u) . z}|_full substitution  =  exp(sum a_m u^m L_m) . {z}|_u_zero.
 
@@ -247,21 +280,14 @@ def main_identity_case(
     support = max((v.index for v in z.variables()), default=0)
     if 2 * support + 1 > trunc.max_var_index:
         raise ValueError("window too narrow: need max_var_index >= 2*support+1")
-    if bundle is None:
-        bundle = build_virasoro(pairing, trunc)
-    lhs = change_vars(build_w_u(pairing, trunc).exp_apply(z))
-    rhs = bundle.l_weighted.exp_apply(u_zero_substitute(z))
+    lhs = change_vars(ctx.w_u.exp_apply(z))
+    rhs = ctx.l_weighted.exp_apply(u_zero_substitute(z))
     return "main identity", lhs, rhs
 
 
-def verify_hodge_to_gw(
-    z: Series,
-    pairing: Pairing,
-    label: str = "theorem",
-    bundle: VirasoroBundle | None = None,
-) -> Report:
+def verify_hodge_to_gw(z: Series, pairing: Pairing, label: str = "theorem") -> Report:
     """main_identity_case(z) as one report."""
-    case = main_identity_case(z, pairing, bundle)
+    case = main_identity_case(z, Context(pairing, z.trunc))
     return check(label, pairing.name, z.trunc, [case])
 
 
@@ -300,14 +326,10 @@ def log_true_coefficient(stored: Series, offset: int, target: Monomial) -> Fract
 # -- suite runner ------------------------------------------------------------
 
 
-# Every suite takes (pairing, window, seed, bundle), where bundle() returns the
-# run's one Virasoro bundle, built on first use, and returns its reports.
-Bundle = Callable[[], VirasoroBundle]
+# Every suite takes the run's context and seed and returns its reports.
 
 
-def _constants_suite(
-    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
-) -> list[Report]:
+def _constants_suite(ctx: Context, seed: int) -> list[Report]:
     def cases():
         a = solve_a_coeffs(10)
         expected_a = [Fraction(2, 3), Fraction(-1, 12), Fraction(7, 540)]
@@ -329,28 +351,28 @@ def _constants_suite(
             )
             yield f"alternating C identity n={n}", acc, Fraction(0)
 
-    return [check("constants", "-", trunc, cases())]
+    return [check("constants", "-", ctx.trunc, cases())]
 
 
-def _w_factorization_suite(
-    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
-) -> list[Report]:
+def _w_factorization_suite(ctx: Context, seed: int) -> list[Report]:
+    pairing, trunc = ctx.pairing, ctx.trunc
+    from_u = factorization_cases(
+        pairing, trunc, ctx.w_u, ctx.shift_u, ctx.kernel, ctx.p_u
+    )
     return [
         verify_w_factorization(pairing, trunc),
-        verify_w_factorization(pairing, trunc, mode="from_u"),
+        check("w-factorization[from_u]", pairing.name, trunc, from_u),
     ]
 
 
-def _hat_t_suite(
-    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
-) -> list[Report]:
+def _hat_t_suite(ctx: Context, seed: int) -> list[Report]:
+    trunc = ctx.trunc
     n_max = min(trunc.max_var_index, max(trunc.max_omega_weight, 1))
-    return [verify_hat_t(pairing, trunc, n_max)]
+    return [verify_hat_t(ctx.pairing, trunc, n_max)]
 
 
-def _brackets_suite(
-    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
-) -> list[Report]:
+def _brackets_suite(ctx: Context, seed: int) -> list[Report]:
+    pairing, trunc = ctx.pairing, ctx.trunc
     m_hi = max(1, trunc.max_var_index // 2)
     cases = (
         case
@@ -361,47 +383,41 @@ def _brackets_suite(
     return [check(f"brackets(m,n<={m_hi})", pairing.name, trunc, cases)]
 
 
-def _virasoro_split_suite(
-    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
-) -> list[Report]:
-    return [verify_virasoro_split(bundle())]
+def _virasoro_split_suite(ctx: Context, seed: int) -> list[Report]:
+    return [verify_virasoro_split(ctx)]
 
 
-def _ex_closed_form_suite(
-    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
-) -> list[Report]:
+def _ex_closed_form_suite(ctx: Context, seed: int) -> list[Report]:
+    pairing, trunc = ctx.pairing, ctx.trunc
     n_hi = min((trunc.max_var_index - 1) // 2, trunc.max_u_degree // 2)
     cases = (
-        raised_odd_case(n, a, pairing, trunc, bundle=bundle())
+        raised_odd_case(n, a, ctx)
         for n in range(0, n_hi + 1)
         for a in pairing.colors()
     )
     return [check(f"ex-closed-form(n<={n_hi})", pairing.name, trunc, cases)]
 
 
-def _bridge_suite(
-    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
-) -> list[Report]:
+def _bridge_suite(ctx: Context, seed: int) -> list[Report]:
+    pairing, trunc = ctx.pairing, ctx.trunc
     n_max = (trunc.max_var_index - 1) // 2
     return [
-        verify_substitution_bridge(pairing, trunc, n_max, seed=seed),
-        verify_kernel_match(pairing, trunc, bundle=bundle()),
+        check("bridge", pairing.name, trunc, bridge_cases(ctx, n_max, seed)),
+        check("kernel-match", pairing.name, trunc, [kernel_match_case(ctx)]),
         verify_theta_recoloring(pairing, trunc),
     ]
 
 
-def _theorem_suite(
-    pairing: Pairing, trunc: Truncation, seed: int, bundle: Bundle
-) -> list[Report]:
+def _theorem_suite(ctx: Context, seed: int) -> list[Report]:
+    pairing, trunc = ctx.pairing, ctx.trunc
     reports: list[Report] = []
     support = (trunc.max_var_index - 1) // 2
     if pairing.rank == 1 and pairing.eta[0][0] == 1:
         z_trunc = trunc.replace(max_var_index=support)
         offset = default_hbar_offset(z_trunc)
         z = z_point(z_trunc, genus_max=2, offset=offset).truncated(trunc)
-        reports.append(
-            verify_hodge_to_gw(z, pairing, label="theorem[point-dvv]", bundle=bundle())
-        )
+        case = main_identity_case(z, ctx)
+        reports.append(check("theorem[point-dvv]", pairing.name, trunc, [case]))
         # log_true_coefficient's bargain for u^2 t[0,0] at true hbar^0: up to
         # u^2 the flow is one step of D_1, which reaches t[0] from the genus-0
         # term t[0]^3 (its hbar-contraction; t-degree 3, so offset >= 1) and
@@ -413,7 +429,7 @@ def _theorem_suite(
             and trunc.max_u_degree >= 2
             and trunc.max_hbar_degree >= offset
         ):
-            flowed = build_w_u(pairing, trunc).exp_apply(z)
+            flowed = ctx.w_u.exp_apply(z)
             got = log_true_coefficient(
                 flowed, offset, Monomial.build({t_var(0): 1}, {PARAM_U: 2})
             )
@@ -427,23 +443,27 @@ def _theorem_suite(
                 )
             )
     pool = [t_var(i, a) for i in range(support + 1) for a in pairing.colors()]
+    # the random inputs have 8 distinct terms, or every monomial they can be
+    # drawn from (pool variables, hbar powers) when the window holds fewer
+    monomials = basis_monomials(pool, trunc.max_t_degree)
+    drawable = len(list(islice(monomials, 8))) * (trunc.max_hbar_degree + 1)
     randoms = (
         random_series(
             seed + 100 + i,
             trunc,
-            term_count=8,
+            term_count=min(8, drawable),
             variables=pool,
             max_hbar=trunc.max_hbar_degree,
         )
         for i in range(10)
     )
-    cases = (main_identity_case(z, pairing, bundle()) for z in randoms)
+    cases = (main_identity_case(z, ctx) for z in randoms)
     reports.append(check("theorem[random x10]", pairing.name, trunc, cases))
-    reports.append(verify_kernel_match(pairing, trunc, bundle=bundle()))
+    reports.append(check("kernel-match", pairing.name, trunc, [kernel_match_case(ctx)]))
     return reports
 
 
-_SUITES: dict[str, Callable[[Pairing, Truncation, int, Bundle], list[Report]]] = {
+_SUITES: dict[str, Callable[[Context, int], list[Report]]] = {
     "constants": _constants_suite,
     "w-factorization": _w_factorization_suite,
     "hat-t": _hat_t_suite,
@@ -485,9 +505,8 @@ def run_suite(config: VerificationConfig) -> list[Report]:
     unknown = set(config.suites) - set(ALL_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    trunc = config.truncation()
-    bundle = functools.cache(lambda: build_virasoro(pairing, trunc))
+    ctx = Context(pairing, config.truncation())
     reports: list[Report] = []
     for suite in config.suites:
-        reports.extend(_SUITES[suite](pairing, trunc, config.seed, bundle))
+        reports.extend(_SUITES[suite](ctx, config.seed))
     return reports

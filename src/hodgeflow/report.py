@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -41,9 +40,6 @@ class Report:
             "cases": self.cases,
             "mismatches": [m.as_dict() for m in self.mismatches],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
     def summary_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

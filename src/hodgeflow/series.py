@@ -7,8 +7,7 @@ Variables come in two worlds that are never aliased:
   variables (q with n <= 0 is identically zero and may not be constructed).
 
 Formal parameters ride along in every monomial: ``u``, ``hbar``, the weighted
-couplings ``w[l]`` (weight 2l-1) and ``s[n]`` (weight n), the multi-parameter
-family ``v[j]`` (graded with u), and the expansion letters ``z``, ``x``, ``y``.
+couplings ``w[l]`` (weight 2l-1), and the expansion letters ``z``, ``x``, ``y``.
 The letters z, x, y are stored with non-negative exponents; which power
 orientation an exponent encodes (z vs 1/z) is documented at each producing
 site, and they carry no truncation weight of their own.
@@ -42,12 +41,9 @@ __all__ = [
     "PARAM_X",
     "PARAM_Y",
     "omega_param",
-    "s_param",
-    "multi_u_param",
     "basis_monomials",
     "random_series",
     "exp_nilpotent",
-    "log_one_plus",
 ]
 
 
@@ -77,7 +73,7 @@ def q_var(index: int, color: int = 0) -> VarId:
 
 
 class ParamId(NamedTuple):
-    kind: str  # "u", "hbar", "w", "s", "v", "z", "x", "y"
+    kind: str  # "u", "hbar", "w", "z", "x", "y"
     index: int
 
     def render(self) -> str:
@@ -98,20 +94,6 @@ def omega_param(l: int) -> ParamId:
     if l < 1:
         raise ValueError("omega parameters start at l = 1")
     return ParamId("w", l)
-
-
-def s_param(n: int) -> ParamId:
-    """Coupling s[n] for odd n, carrying weight n."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("s parameters are indexed by odd n >= 1")
-    return ParamId("s", n)
-
-
-def multi_u_param(j: int) -> ParamId:
-    """j-th member of the multi-parameter family; graded together with u."""
-    if j < 1:
-        raise ValueError("multi-u parameters start at j = 1")
-    return ParamId("v", j)
 
 
 class Monomial(NamedTuple):
@@ -135,8 +117,7 @@ class Monomial(NamedTuple):
     def grade(self) -> tuple[int, int, int, int]:
         """(t-degree, u-degree, hbar-degree, omega-weight), the windowed grades.
 
-        Each grade adds under ``mul``; u and the multi-u family count together,
-        as do the w[l] (weight 2l-1) and s[n] (weight n) couplings.
+        Each grade adds under ``mul``; a coupling w[l] weighs 2l-1.
         """
         deg = 0
         for _, e in self.vars:
@@ -144,14 +125,12 @@ class Monomial(NamedTuple):
         u = h = w = 0
         for p, e in self.params:
             k = p.kind
-            if k == "u" or k == "v":
+            if k == "u":
                 u += e
             elif k == "hbar":
                 h += e
             elif k == "w":
                 w += (2 * p.index - 1) * e
-            elif k == "s":
-                w += p.index * e
         return deg, u, h, w
 
     def render(self) -> str:
@@ -221,9 +200,8 @@ class Truncation:
     """Finite window: everything outside it is identically dropped.
 
     max_t_degree bounds total degree in t/q variables jointly; max_var_index
-    bounds every variable index; u and multi-u exponents count together
-    against max_u_degree; w[l]/s[n] weights count together against
-    max_omega_weight.  z, x, y are not windowed here.
+    bounds every variable index; u exponents count against max_u_degree and
+    w[l] weights against max_omega_weight.  z, x, y are not windowed here.
     """
 
     max_t_degree: int
@@ -487,12 +465,6 @@ class Series:
             return "0"
         return " + ".join(f"{c} * {m.render()}" for m, c in self.sorted_terms())
 
-    def to_json_obj(self) -> list[dict[str, str]]:
-        return [
-            {"monomial": m.render(), "coefficient": str(c)}
-            for m, c in self.sorted_terms()
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Series({self.render()})"
 
@@ -517,23 +489,6 @@ def exp_nilpotent(s: Series, max_steps: int = 10_000) -> Series:
         if term.is_zero():
             return out
         out = out.add(term)
-
-
-def log_one_plus(s: Series, max_steps: int = 10_000) -> Series:
-    """log(1 + s) for s with no constant term, truncation-graded like exp_nilpotent."""
-    if s.coefficient(MONOMIAL_ONE) != 0:
-        raise ValueError("log_one_plus needs a series without constant term")
-    out = Series.zero(s.trunc)
-    power = Series.one(s.trunc)
-    k = 0
-    while True:
-        k += 1
-        if k > max_steps:
-            raise TruncationError("log did not terminate under the window")
-        power = power.mul(s)
-        if power.is_zero():
-            return out
-        out = out.add(power.scale(Fraction((-1) ** (k + 1), k)))
 
 
 def basis_monomials(

@@ -39,7 +39,10 @@ from .series import (
 )
 
 __all__ = [
+    "CrossCheckError",
     "omega_bernoulli",
+    "single_lambda_rule",
+    "u_wide",
     "b_omega",
     "r_poly",
     "c_const",
@@ -57,6 +60,11 @@ __all__ = [
     "flow_expansion",
     "solve_a_coeffs",
 ]
+
+
+class CrossCheckError(Exception):
+    """Two independent computations of the same quantity disagreed: a defect in
+    the program, not in the input."""
 
 
 def omega_bernoulli(l: int) -> Fraction:
@@ -125,22 +133,27 @@ def r_poly(i: int, trunc: Truncation | None = None) -> Series:
     return Series(trunc, _r_terms(i))
 
 
-def _eval_at_bernoulli(s: Series, u_power_per_weight: int = 0) -> Series:
-    """Substitute w[l] -> omega_bernoulli(l) * u^{u_power_per_weight*(2l-1)}."""
-    rule = {}
-    for m in s.terms:
-        for p, _ in m.params:
-            if p.kind == "w" and p not in rule:
-                l = p.index
-                value = Series.constant(s.trunc, omega_bernoulli(l))
-                if u_power_per_weight:
-                    value = value.mul_monomial(
-                        Monomial.build(
-                            (), {PARAM_U: u_power_per_weight * (2 * l - 1)}
-                        )
-                    )
-                rule[p] = value
-    return s.substitute(rule)
+def single_lambda_rule(
+    trunc: Truncation, u_per_weight: int = 2
+) -> dict[ParamId, Series]:
+    """The single-lambda couplings as a substitution rule: w[l] ->
+    omega_bernoulli(l) * u^{u_per_weight*(2l-1)} for every w[l] the window holds."""
+    return {
+        omega_param(l): Series.of_monomial(
+            trunc,
+            Monomial.build((), {PARAM_U: u_per_weight * (2 * l - 1)}),
+            omega_bernoulli(l),
+        )
+        for l in _l_range(trunc.max_omega_weight)
+    }
+
+
+def u_wide(trunc: Truncation) -> Truncation:
+    """The window widened so that every coupling reaching the u window is kept:
+    a coupling of weight w instantiates to u^{2w}."""
+    return trunc.replace(
+        max_omega_weight=max(trunc.max_omega_weight, trunc.max_u_degree // 2)
+    )
 
 
 @functools.cache
@@ -246,25 +259,23 @@ def q_omega(trunc: Truncation) -> Series:
     nested = q_omega_nested(trunc)
     divided = q_omega_division(trunc)
     if nested != divided:
-        raise AssertionError("kernel expansions disagree: nested sum vs long division")
+        raise CrossCheckError("kernel expansions disagree: nested sum vs long division")
     return nested
 
 
 def q_b(trunc: Truncation) -> Series:
     """Kernel at the single-lambda coupling values (pure x, y series)."""
-    return _eval_at_bernoulli(q_omega(trunc))
+    return q_omega(trunc).substitute(single_lambda_rule(trunc, u_per_weight=0))
 
 
 def q_u(trunc: Truncation) -> Series:
     """Kernel at couplings scaled by u^{2(2l-1)}; checked against the u-rescaled q_b.
 
-    A coupling of weight w turns into u^{2w}, so the enumeration window is the
-    larger of the coupling-weight budget and half the u budget.
+    The kernel is enumerated in u_wide(trunc), which holds every coupling that
+    reaches the u window.
     """
-    wide = trunc.replace(
-        max_omega_weight=max(trunc.max_omega_weight, trunc.max_u_degree // 2)
-    )
-    direct = _eval_at_bernoulli(q_omega(wide), u_power_per_weight=2)
+    wide = u_wide(trunc)
+    direct = q_omega(wide).substitute(single_lambda_rule(wide))
     scaled = q_b(wide).substitute(
         {
             PARAM_X: Series.of_monomial(
@@ -276,7 +287,7 @@ def q_u(trunc: Truncation) -> Series:
         }
     ).mul_monomial(Monomial.build((), {PARAM_U: 2}))
     if direct != scaled:
-        raise AssertionError("u-coupling kernel disagrees with the rescaled kernel")
+        raise CrossCheckError("u-coupling kernel disagrees with the rescaled kernel")
     return direct.truncated(trunc)
 
 
@@ -348,9 +359,6 @@ class ZLaurent:
     def scale(self, v: Fraction | int) -> "ZLaurent":
         v = Fraction(v)
         return ZLaurent({e: c * v for e, c in self.terms.items()})
-
-    def shift(self, d: int, floor: int) -> "ZLaurent":
-        return ZLaurent({e + d: c for e, c in self.terms.items() if e + d >= floor})
 
     def drop_below(self, floor: int) -> "ZLaurent":
         return ZLaurent({e: c for e, c in self.terms.items() if e >= floor})
@@ -438,7 +446,7 @@ def flow_expansion(a: list[Fraction], order: int) -> ZLaurent:
     while not term.is_zero():
         k += 1
         if k > order + 4:
-            raise AssertionError("flow expansion failed to terminate")
+            raise CrossCheckError("flow expansion failed to terminate")
         term = vector_field(term).scale(Fraction(1, k))
         total = total.add(term)
     return total.drop_below(floor)
@@ -458,5 +466,5 @@ def solve_a_coeffs(count: int) -> list[Fraction]:
         partial = flow_expansion(a + [Fraction(0)], count)
         a.append(target.coefficient(1 - m) - partial.coefficient(1 - m))
     if flow_expansion(a, count) != rhs_target(count):
-        raise AssertionError("flow round trip failed")
+        raise CrossCheckError("flow round trip failed")
     return a

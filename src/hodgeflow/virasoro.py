@@ -13,6 +13,7 @@ alternating ad-tower of Y+ under X+.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -112,45 +113,53 @@ def u_weighted(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class VirasoroBundle:
-    """All window-bounded raising operators plus their u-weighted aggregates."""
+    """The raising operators of one window, each built on first use and then kept.
+
+    X_m carries u^m, so the aggregates run over m up to the u-degree window.
+    Assigning a field replaces it for every later reader; the negative
+    controls perturb a tower this way.
+    """
 
     pairing: Pairing
     trunc: Truncation
-    a: tuple[Fraction, ...]
-    m_max: int
-    x_plus: Operator       # sum a_m u^m X_m
-    y_plus: Operator       # sum a_m u^m Y_m
-    l_weighted: Operator   # sum a_m u^m L_m
-    q_plus: Operator       # alternating ad-tower of y_plus under x_plus
-    q_plus_odd: Operator   # q_plus restricted to odd q-indices
+
+    @functools.cached_property
+    def a(self) -> tuple[Fraction, ...]:
+        if self.trunc.max_u_degree < 1:
+            raise ValueError("the raising operators need max_u_degree >= 1")
+        return tuple(solve_a_coeffs(self.trunc.max_u_degree))
+
+    @functools.cached_property
+    def x_plus(self) -> Operator:
+        """sum a_m u^m X_m"""
+        return u_weighted(build_x, self.a, self.pairing, self.trunc)
+
+    @functools.cached_property
+    def y_plus(self) -> Operator:
+        """sum a_m u^m Y_m"""
+        return u_weighted(build_y, self.a, self.pairing, self.trunc)
+
+    @functools.cached_property
+    def l_weighted(self) -> Operator:
+        """sum a_m u^m L_m"""
+        return self.x_plus.add(self.y_plus.scale(Fraction(1, 2), {PARAM_HBAR: 1}))
+
+    @functools.cached_property
+    def q_plus(self) -> Operator:
+        """The alternating ad-tower of y_plus under x_plus."""
+        return zassenhaus_tail(self.x_plus, self.y_plus, self.trunc)
+
+    @functools.cached_property
+    def q_plus_odd(self) -> Operator:
+        """q_plus restricted to odd q-indices."""
+        return odd_part(self.q_plus)
 
 
-def build_virasoro(
-    pairing: Pairing, trunc: Truncation, m_max: int | None = None
-) -> VirasoroBundle:
-    """Operators up to m_max (default: the u-degree window, since X_m carries u^m)."""
-    if m_max is None:
-        m_max = trunc.max_u_degree
-    if m_max < 1:
-        raise ValueError("need m_max >= 1")
-    a = tuple(solve_a_coeffs(m_max))
-    x_plus = u_weighted(build_x, a, pairing, trunc)
-    y_plus = u_weighted(build_y, a, pairing, trunc)
-    l_weighted = x_plus.add(y_plus.scale(Fraction(1, 2), {PARAM_HBAR: 1}))
-    q_plus = zassenhaus_tail(x_plus, y_plus, trunc)
-    return VirasoroBundle(
-        pairing=pairing,
-        trunc=trunc,
-        a=a,
-        m_max=m_max,
-        x_plus=x_plus,
-        y_plus=y_plus,
-        l_weighted=l_weighted,
-        q_plus=q_plus,
-        q_plus_odd=odd_part(q_plus),
-    )
+def build_virasoro(pairing: Pairing, trunc: Truncation) -> VirasoroBundle:
+    """The raising-operator bundle of a window; nothing is built until a field is read."""
+    return VirasoroBundle(pairing, trunc)
 
 
 def odd_part(op: Operator) -> Operator:
@@ -246,7 +255,7 @@ def verify_virasoro_split(bundle: VirasoroBundle, max_degree: int | None = None)
         pt_bundle = (
             bundle
             if pairing.rank == 1 and pairing.eta[0][0] == 1
-            else build_virasoro(point_pairing(), trunc, bundle.m_max)
+            else build_virasoro(point_pairing(), trunc)
         )
         recolored = delta_map(pt_bundle.q_plus_odd, pairing)
         yield "odd tower vs recolored point tower", bundle.q_plus_odd, recolored
@@ -254,21 +263,14 @@ def verify_virasoro_split(bundle: VirasoroBundle, max_degree: int | None = None)
     return check("virasoro-split", pairing.name, trunc, cases())
 
 
-def raised_odd_case(
-    n: int,
-    alpha: int,
-    pairing: Pairing,
-    trunc: Truncation,
-    bundle: VirasoroBundle | None = None,
-) -> Case:
+def raised_odd_case(n: int, alpha: int, bundle: VirasoroBundle) -> Case:
     """exp(X+) . q[2n+1, a] = 1/(2n-1)!! sum_i C_i u^{2i} (shift polynomial)_{n-i}.
 
     Exact once the u-window reaches 2n (the full polynomial degree).
     """
+    trunc = bundle.trunc
     if 2 * n + 1 > trunc.max_var_index:
         raise ValueError("need max_var_index >= 2n+1")
-    if bundle is None:
-        bundle = build_virasoro(pairing, trunc)
     start = Series.of_var(trunc, q_var(2 * n + 1, alpha))
     lhs = bundle.x_plus.exp_apply(start)
     rhs = Series.zero(trunc)
@@ -284,12 +286,8 @@ def raised_odd_case(
 
 
 def verify_raised_odd_variable(
-    n: int,
-    alpha: int,
-    pairing: Pairing,
-    trunc: Truncation,
-    bundle: VirasoroBundle | None = None,
+    n: int, alpha: int, pairing: Pairing, trunc: Truncation
 ) -> Report:
     """raised_odd_case(n, alpha) as one report."""
-    case = raised_odd_case(n, alpha, pairing, trunc, bundle)
+    case = raised_odd_case(n, alpha, build_virasoro(pairing, trunc))
     return check(f"ex-closed-form(n={n},a={alpha})", pairing.name, trunc, [case])

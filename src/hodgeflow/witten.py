@@ -9,9 +9,6 @@ eliminating it between the recursion and the string equation.
 The exponential is assembled genus by genus with an explicit hbar offset so
 the series ring never needs negative exponents: the returned series equals
 hbar^offset * exp(sum_g hbar^{g-1} F_g) inside the window.
-
-The memo table is filled idempotently (same key, same value), so concurrent
-readers racing through a cold cache at worst duplicate work.
 """
 
 from __future__ import annotations

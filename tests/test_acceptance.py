@@ -151,15 +151,9 @@ def test_criterion_08_raised_odd_variables():
     trunc = Truncation(1, 11, 10, 0, 0)
     ok = True
     for pairing in (PT, H2):
-        bundle = build_virasoro(pairing, trunc)
         for n in range(0, 6):
             for a in pairing.colors():
-                ok = (
-                    ok
-                    and verify_raised_odd_variable(
-                        n, a, pairing, trunc, bundle=bundle
-                    ).passed
-                )
+                ok = ok and verify_raised_odd_variable(n, a, pairing, trunc).passed
     _report("criterion 8: closed raise formula, n <= 5, u <= 10", ok, started)
 
 
@@ -190,10 +184,9 @@ def test_criterion_10_main_identity():
     # (b) ten seeded random inputs over the rank-2 pairing
     trunc2 = Truncation(3, 7, 4, 2, 0)
     pool = [t_var(i, a) for i in range(4) for a in range(2)]
-    bundle = build_virasoro(H2, trunc2)
     for i in range(10):
         z_rand = random_series(1000 + i, trunc2, 8, variables=pool, max_hbar=2)
-        ok = ok and verify_hodge_to_gw(z_rand, H2, bundle=bundle).passed
+        ok = ok and verify_hodge_to_gw(z_rand, H2).passed
     ok = ok and verify_kernel_match(H2, trunc2).passed
     _report("criterion 10: end-to-end identity, geometric + random", ok, started)
 

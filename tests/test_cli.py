@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hodgeflow import special
 from hodgeflow.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,6 +108,31 @@ def test_theorem_command_small(capsys):
     assert code == 0
     reports = json.loads(capsys.readouterr().out)
     assert any(r["identity"].startswith("theorem") for r in reports)
+
+
+def test_theorem_runs_in_a_window_smaller_than_its_random_inputs(capsys):
+    # t-degree 1 over t[0..2] with no hbar holds 4 monomials, fewer than the
+    # 8 random terms the suite draws where they fit
+    window = ["--max-t-degree", "1", "--max-index", "5", "--max-u-degree", "2"]
+    window += ["--max-hbar", "0", "--max-omega-weight", "2"]
+    assert main(["theorem", *window, "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    identities = [r["identity"] for r in reports]
+    assert identities == ["theorem[point-dvv]", "theorem[random x10]", "kernel-match"]
+    assert reports[1]["cases"] == 10
+
+
+def test_failed_internal_cross_check_exits_3(monkeypatch, capsys):
+    divided = special.q_omega_division
+    monkeypatch.setattr(special, "q_omega_division", lambda tr: divided(tr).scale(2))
+    window = ["--max-t-degree", "1", "--max-index", "3", "--max-omega-weight", "2"]
+    assert main(["verify", "--suite", "w-factorization", *window]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal cross-check failed: "
+        "kernel expansions disagree: nested sum vs long division\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Flow generators, their factorization, and the coordinate-shift machinery."""
 
-import math
 from fractions import Fraction
 
 from hodgeflow.hodge import (
@@ -11,7 +10,6 @@ from hodgeflow.hodge import (
     build_w_omega,
     build_w_u,
     hat_t,
-    hodge_flow,
     instantiate_omega,
     theta_map,
     t_variables,
@@ -21,7 +19,7 @@ from hodgeflow.hodge import (
 )
 from hodgeflow.operators import Operator
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
-from hodgeflow.rationals import bernoulli
+from hodgeflow.pipeline import VerificationConfig, run_suite
 from hodgeflow.series import (
     Monomial,
     PARAM_HBAR,
@@ -30,13 +28,11 @@ from hodgeflow.series import (
     PARAM_Y,
     Series,
     Truncation,
-    multi_u_param,
     omega_param,
     random_series,
-    s_param,
     t_var,
 )
-from hodgeflow.special import q_omega, q_u, r_poly
+from hodgeflow.special import q_omega, q_u, r_poly, single_lambda_rule
 
 PT = point_pairing()
 H2 = hyperbolic2_pairing()
@@ -106,29 +102,15 @@ def test_omega_vanishes_with_zero_weight_window():
 def test_instantiate_single_coupling():
     tr = Truncation(0, 0, 8, 0, 4)
     w1 = Series.of_param(tr, omega_param(1))
-    from_u = instantiate_omega(w1, "from_u")
-    assert from_u == Series.of_monomial(
+    assert w1.substitute(single_lambda_rule(tr)) == Series.of_monomial(
         tr, Monomial.build((), {PARAM_U: 2}), Fraction(-1, 12)
     )
-    from_s = instantiate_omega(w1, "from_s")
-    assert from_s == Series.of_monomial(
-        tr, Monomial.build((), {s_param(1): 1}), Fraction(1, 12)
-    )
-    multi = instantiate_omega(w1, "from_multi_u", k=2)
-    want = Series(
-        tr,
-        {
-            Monomial.build((), {multi_u_param(1): 2}): Fraction(-1, 12),
-            Monomial.build((), {multi_u_param(2): 2}): Fraction(-1, 12),
-        },
-    )
-    assert multi == want
 
 
 def test_build_w_u_matches_instantiated_w_omega():
     for pairing in (PT, H2):
         wide = TR.replace(max_omega_weight=TR.max_u_degree // 2)
-        via_inst = instantiate_omega(build_w_omega(pairing, wide), "from_u", wide)
+        via_inst = instantiate_omega(build_w_omega(pairing, wide), wide)
         assert build_w_u(pairing, TR) == via_inst.truncate(TR)
 
 
@@ -147,9 +129,7 @@ def test_theta_point_and_colored():
 def test_theta_of_u_kernel_matches_instantiated_kernel():
     for pairing in (PT, H2):
         wide = TR.replace(max_omega_weight=TR.max_u_degree // 2)
-        via_inst = instantiate_omega(
-            theta_map(q_omega(wide), pairing, wide), "from_u", wide
-        )
+        via_inst = instantiate_omega(theta_map(q_omega(wide), pairing, wide), wide)
         assert theta_map(q_u(TR), pairing, TR) == via_inst.truncate(TR)
 
 
@@ -199,28 +179,12 @@ def _ordered_tuples(n: int, max_weight: int):
 
 
 def test_w_factorization_small_windows():
-    assert verify_w_factorization(PT, Truncation(2, 5, 4, 2, 3)).passed
+    # the suite checks the coupled factorization and its single-lambda instance
+    cfg = VerificationConfig("point", 2, 5, 4, 2, 3, suites=("w-factorization",))
+    reports = run_suite(cfg)
+    assert [r.identity for r in reports] == ["w-factorization", "w-factorization[from_u]"]
+    assert all(r.passed for r in reports)
     assert verify_w_factorization(H2, Truncation(2, 4, 4, 2, 3)).passed
-    assert verify_w_factorization(PT, Truncation(2, 5, 4, 2, 3), mode="from_u").passed
-
-
-def test_factorization_survives_multi_parameter_instantiation():
-    # two-parameter coupling values: exp(total) still factors through the
-    # instantiated shift, kernel, and coordinate-shift exponentials
-    tr = Truncation(2, 5, 4, 2, 2)
-    parts = w_omega_parts(PT, tr)
-    inst = lambda op: instantiate_omega(op, "from_multi_u", tr, k=2)
-    whole = inst(parts.total())
-    shift = inst(parts.shift)
-    kernel = inst(theta_map(q_omega(tr), PT, tr)).scale(
-        Fraction(1, 2), {PARAM_HBAR: 1}
-    )
-    p_shift = inst(build_p(tr))
-    for n in (0, 1, 2, 3):
-        start = Series.of_var(tr, t_var(n))
-        lhs = whole.exp_apply(start)
-        rhs = shift.exp_apply(kernel.exp_apply(p_shift.exp_apply(start)))
-        assert lhs == rhs, n
 
 
 def test_zassenhaus_tail_of_derivative_part_is_coordinate_shift():
@@ -308,40 +272,7 @@ def test_hat_t_suite():
 def test_flow_at_u_zero_is_identity():
     tr = Truncation(3, 6, 0, 2, 0)
     z = random_series(4, tr, 6, max_hbar=2)
-    assert hodge_flow(z, "from_u", PT) == z
-
-
-def test_flow_from_s_linearization():
-    # the s-linear slice of the flow reproduces B_{2l}/(2l)! D_l . z
-    tr = Truncation(3, 6, 0, 2, 3)
-    z = random_series(8, tr, 6, variables=[t_var(i) for i in range(5)], max_hbar=1)
-    flowed = hodge_flow(z, "from_s", PT)
-    for l in (1, 2):
-        slice_terms = {}
-        key = s_param(2 * l - 1)
-        for m, c in flowed.terms.items():
-            params = dict(m.params)
-            if params.get(key) == 1 and sum(e for p, e in m.params if p.kind == "s") == 1:
-                del params[key]
-                slice_terms[Monomial.build(dict(m.vars), params)] = c
-        want = build_d(l, PT, tr).apply(z).scale(
-            bernoulli(2 * l) / math.factorial(2 * l)
-        )
-        assert Series(tr, slice_terms) == want, l
-
-
-def test_flow_multi_u_degenerates_to_single_u():
-    tr = Truncation(2, 5, 4, 2, 0)
-    z = random_series(12, tr, 5, variables=[t_var(i) for i in range(4)], max_hbar=1)
-    flow_multi = hodge_flow(z, "from_multi_u", PT, k=2)
-    # kill the second parameter, rename u to the first
-    killed = flow_multi.substitute(
-        {multi_u_param(2): Series.zero(tr)}
-    )
-    flow_single = hodge_flow(z, "from_u", PT).substitute(
-        {PARAM_U: Series.of_param(tr, multi_u_param(1))}
-    )
-    assert killed == flow_single
+    assert build_w_u(PT, tr).exp_apply(z) == z
 
 
 def test_d_on_t_free_series_keeps_only_derivative_parts():

@@ -27,13 +27,12 @@ from hodgeflow.series import (
     PARAM_U,
     Series,
     Truncation,
-    multi_u_param,
     omega_param,
     q_var,
     random_series,
-    s_param,
     t_var,
 )
+from hodgeflow.hodge import build_w_u
 from hodgeflow.virasoro import build_virasoro
 
 TR = Truncation(3, 8, 6, 2, 4)
@@ -242,7 +241,7 @@ def test_render_normal_order():
 # -- indexed apply against the naive loop over every (monomial, atom) pair -------
 
 VARS = [t_var(0), t_var(1), t_var(2, 1), q_var(3)]
-PARAMS = [PARAM_U, multi_u_param(1), PARAM_HBAR, omega_param(1), omega_param(2), s_param(3)]
+PARAMS = [PARAM_U, PARAM_HBAR, omega_param(1), omega_param(2)]
 WINDOWS = [
     Truncation(4, 3, 3, 2, 4),
     Truncation(3, 2, 0, 0, 0),
@@ -377,7 +376,7 @@ def random_power_operator(rng: random.Random, count: int, names: list) -> Operat
         op = op.add(
             Operator.atom(
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                params=[(rng.choice(PARAMS[:3]), 1) for _ in range(rng.randint(0, 2))],
+                params=[(rng.choice(PARAMS[:2]), 1) for _ in range(rng.randint(0, 2))],
                 mult=powers(),
                 deriv=powers(),
             )
@@ -545,3 +544,54 @@ def test_zassenhaus_tail_window_consistency_virasoro(wide_bundle, u, hbar, extra
     narrow, wide = _u_hbar_windows(8, u, hbar, extra)
     x, y = wide_bundle.x_plus, wide_bundle.y_plus
     assert zassenhaus_tail(x, y, wide).truncate(narrow) == zassenhaus_tail(x, y, narrow)
+
+
+# -- exp_apply of the two flows: a wider window truncated is the narrow one -----
+
+FLOW_NARROWING = dict(
+    seed=st.integers(0, 2**32),
+    pairing=st.sampled_from([point_pairing(), hyperbolic2_pairing()]),
+    narrow=st.builds(
+        Truncation,
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.integers(0, 2),
+        st.just(0),
+    ),
+    extra=st.tuples(*[st.integers(0, 2)] * 4),
+)
+
+
+def _flow_windows(narrow: Truncation, extra: tuple) -> Truncation:
+    deg, index, u, hbar = extra
+    return narrow.replace(
+        max_t_degree=narrow.max_t_degree + deg,
+        max_var_index=narrow.max_var_index + index,
+        max_u_degree=narrow.max_u_degree + u,
+        max_hbar_degree=narrow.max_hbar_degree + hbar,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(**FLOW_NARROWING)
+def test_exp_apply_window_consistency_w_u(seed, pairing, narrow, extra):
+    # no flow step raises t-degree or index, or lowers u or hbar
+    wide = _flow_windows(narrow, extra)
+    colors = pairing.colors()
+    pool = [t_var(i, a) for i in range(narrow.max_var_index + 1) for a in colors]
+    s = random_series(seed, narrow, 3, variables=pool, max_hbar=1, max_u=1)
+    got = build_w_u(pairing, wide).exp_apply(s.truncated(wide)).truncated(narrow)
+    assert got == build_w_u(pairing, narrow).exp_apply(s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**FLOW_NARROWING)
+def test_exp_apply_window_consistency_l_plus(seed, pairing, narrow, extra):
+    wide = _flow_windows(narrow, extra)
+    colors = pairing.colors()
+    pool = [q_var(k, a) for k in range(1, narrow.max_var_index + 1) for a in colors]
+    s = random_series(seed, narrow, 3, variables=pool, max_hbar=1, max_u=1)
+    got = build_virasoro(pairing, wide).l_weighted.exp_apply(s.truncated(wide))
+    want = build_virasoro(pairing, narrow).l_weighted.exp_apply(s)
+    assert got.truncated(narrow) == want

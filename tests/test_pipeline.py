@@ -1,6 +1,6 @@
 """Change of variables, the bridge identity, the main identity, the runner."""
 
-import dataclasses
+import collections
 import itertools
 from fractions import Fraction
 
@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeflow import pipeline, virasoro
+from hodgeflow import hodge, operators, pipeline, special, virasoro
 
 from hodgeflow.hodge import build_w_u
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
 from hodgeflow.pipeline import (
+    Context,
     VerificationConfig,
     change_vars,
+    kernel_match_case,
     log_true_coefficient,
     run_suite,
     to_q_world,
@@ -24,7 +26,7 @@ from hodgeflow.pipeline import (
     verify_substitution_bridge,
     verify_theta_recoloring,
 )
-from hodgeflow.operators import Operator, OperatorClassError
+from hodgeflow.operators import Operator, OperatorClassError, check
 from hodgeflow.report import Mismatch
 from hodgeflow.series import (
     Monomial,
@@ -38,7 +40,6 @@ from hodgeflow.series import (
     t_var,
 )
 from hodgeflow.special import c_const
-from hodgeflow.virasoro import build_virasoro
 from hodgeflow.witten import default_hbar_offset, z_point
 
 PT = point_pairing()
@@ -154,10 +155,10 @@ def test_kernel_match_both_pairings():
 )
 def test_kernel_match_fails_on_perturbed_odd_tower(pairing, color):
     tr = Truncation(1, 8, 6, 0, 0)
-    b = build_virasoro(pairing, tr)
+    ctx = Context(pairing, tr)
     bump = Operator.atom(1, params={PARAM_U: 4}, deriv=[q_var(1, color), q_var(3, 0)])
-    broken = dataclasses.replace(b, q_plus_odd=b.q_plus_odd.add(bump))
-    r = verify_kernel_match(pairing, tr, bundle=broken)
+    ctx.q_plus_odd = ctx.q_plus_odd.add(bump)
+    r = check("kernel-match", pairing.name, tr, [kernel_match_case(ctx)])
     assert not r.passed
     name = f"kernel at u^4 d/dq[1,{color}] d/dq[3,0]"
     assert r.mismatches == [Mismatch(name, "-1/144", "143/144")]
@@ -299,18 +300,27 @@ def test_run_suite_smoke():
     assert all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("spec, builds", [("point", 1), ("hyperbolic2", 2)])
-def test_run_suite_builds_the_bundle_once(monkeypatch, spec, builds):
-    # the run's shared bundle and, off the point pairing, the split's point
-    # bundle; the bridge builds only X+
-    calls = []
+@pytest.mark.parametrize("spec, towers", [("point", 1), ("hyperbolic2", 2)])
+def test_run_suite_builds_each_operator_once(monkeypatch, spec, towers):
+    # the run's context builds each operator once; off the point pairing the
+    # split also builds the point pairing's tower
+    calls = collections.Counter()
+    for home, name in (
+        (hodge, "build_w_u"),
+        (hodge, "build_shift_u"),
+        (hodge, "build_p_u"),
+        (special, "q_u"),
+        (operators, "zassenhaus_tail"),
+    ):
+        original = getattr(home, name)
 
-    def counting_build(*args, **kwargs):
-        calls.append(args)
-        return build_virasoro(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "build_virasoro", counting_build)
-    monkeypatch.setattr(virasoro, "build_virasoro", counting_build)
+        for module in (hodge, operators, pipeline, special, virasoro):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
     cfg = VerificationConfig(
         pairing_spec=spec,
         max_t_degree=3,
@@ -321,7 +331,13 @@ def test_run_suite_builds_the_bundle_once(monkeypatch, spec, builds):
     )
     reports = run_suite(cfg)
     assert all(r.passed for r in reports)
-    assert len(calls) == builds
+    assert calls == {
+        "build_w_u": 1,
+        "build_shift_u": 1,
+        "build_p_u": 1,
+        "q_u": 1,
+        "zassenhaus_tail": towers,
+    }
 
 
 def test_run_suite_rejects_unknown_suite():

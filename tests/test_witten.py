@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeflow.series import Monomial, PARAM_HBAR, Truncation, t_var
 from hodgeflow.witten import (
@@ -149,6 +151,29 @@ def test_z_point_offset_too_small_raises():
     tr = Truncation(3, 6, 0, 3, 0)
     with pytest.raises(ValueError):
         z_point(tr, genus_max=1, offset=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    narrow=st.builds(
+        Truncation,
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.just(0),
+        st.integers(0, 3),
+        st.just(0),
+    ),
+    extra=st.tuples(*[st.integers(0, 2)] * 3),
+)
+def test_z_point_window_consistency(narrow, extra):
+    # offset 2 covers the two genus-0 factors that t-degree <= 6 allows
+    wide = narrow.replace(
+        max_t_degree=narrow.max_t_degree + extra[0],
+        max_var_index=narrow.max_var_index + extra[1],
+        max_hbar_degree=narrow.max_hbar_degree + extra[2],
+    )
+    got = z_point(wide, genus_max=2, offset=2).truncated(narrow)
+    assert got == z_point(narrow, genus_max=2, offset=2)
 
 
 def test_z_point_empty_window_is_one():
