@@ -8,10 +8,14 @@ with every multiplication standing to the left of every derivative.  Products
 of operators are normal-ordered symbolically (Leibniz rewriting), so
 commutators are again closed-form operators and can feed further brackets.
 
-Exponentials act on Series values only: ``exp_apply`` sums op^k(s)/k!, which
-is a finite sum whenever every atom strictly increases a windowed parameter
-weight or strictly decreases variable degree or index-sum.  That witness is
-checked up front; operators violating it are rejected rather than iterated.
+Exponentials act on Series values only.  An operator whose atoms are all
+c*p*d/dv or c*p*w*d/dv is a derivation, and its exponential is a ring
+automorphism: ``exp_apply`` then computes exp(op) . v once for each variable v
+of the series and substitutes.  Any other operator sums op^k(s)/k! on the
+whole series.  Either way the sum is finite whenever every atom strictly
+increases a windowed parameter weight or strictly decreases variable degree
+or index-sum.  That witness is checked up front; operators violating it are
+rejected rather than iterated.
 """
 
 from __future__ import annotations
@@ -294,11 +298,29 @@ class Operator:
             )
 
     def exp_apply(self, s: Series) -> Series:
-        """Sum_{k>=0} op^k(s)/k!, exact and finite under the window's grading."""
+        """Sum_{k>=0} op^k(s)/k!, exact and finite under the window's grading.
+
+        For a derivation inside the window (``is_window_derivation``) this is
+        s with each variable v replaced by exp(op) . v, which is exact.  No
+        step of the iteration raises t-degree or leaves the index window, and
+        the only grades the window then cuts (u, hbar, omega) never fall; so
+        the truncated iteration equals the truncation of the exact exp(op), a
+        ring automorphism.  Products in the window are exact because the
+        monomials outside it form an ideal.
+        """
         if self.is_zero():
             return s
         trunc = s.trunc
         self._check_termination(trunc)
+        if not self.is_window_derivation(trunc):
+            return self._exp_iterate(s)
+        return s.substitute(
+            {v: self._exp_iterate(Series.of_var(trunc, v)) for v in s.variables()}
+        )
+
+    def _exp_iterate(self, s: Series) -> Series:
+        """Sum_{k>=0} op^k(s)/k! term by term, within a bound on the steps."""
+        trunc = s.trunc
         param_budget = (
             trunc.max_u_degree + trunc.max_hbar_degree + trunc.max_omega_weight
         )
@@ -355,6 +377,17 @@ class Operator:
         return Operator(out, _clean=True)
 
     # -- shape queries ------------------------------------------------------------
+
+    def is_window_derivation(self, trunc: Truncation) -> bool:
+        """Every atom is c*p*d/dv or c*p*w*d/dv (one first-order derivative, a
+        multiplication of t-degree <= 1) and every variable lies in the window."""
+        limit = trunc.max_var_index
+        for _, mult, deriv in self.atoms:
+            if len(deriv) != 1 or deriv[0][1] != 1 or deriv[0][0].index > limit:
+                return False
+            if mult and (len(mult) > 1 or mult[0][1] > 1 or mult[0][0].index > limit):
+                return False
+        return True
 
     def is_var_shift_family(self) -> bool:
         """One variable in, one derivative out, same kind and color per atom."""

@@ -56,6 +56,7 @@ from .virasoro import (
     bracket_cases,
     delta_map,
     raised_odd_case,
+    require_u_window,
     verify_virasoro_split,
 )
 from .witten import default_hbar_offset, z_point
@@ -474,6 +475,8 @@ _SUITES: dict[str, Callable[[Context, int], list[Report]]] = {
     "theorem": _theorem_suite,
 }
 ALL_SUITES = tuple(_SUITES)
+# the suites that read the raising operators (X+, L+ or the tower Q+)
+_RAISING_SUITES = frozenset({"virasoro-split", "ex-closed-form", "bridge", "theorem"})
 
 
 @dataclass
@@ -500,13 +503,22 @@ class VerificationConfig:
 
 
 def run_suite(config: VerificationConfig) -> list[Report]:
-    """Run the selected suites; pairing problems are rejected before anything runs."""
+    """Run the selected suites; pairing problems are rejected before anything runs.
+
+    A window closed in u leaves out the suites of the raising operators, and
+    rejects the run if nothing else was selected.
+    """
     pairing = pairing_from_spec(config.pairing_spec)
     unknown = set(config.suites) - set(ALL_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     ctx = Context(pairing, config.truncation())
+    suites = config.suites
+    if ctx.trunc.max_u_degree < 1:
+        suites = [s for s in suites if s not in _RAISING_SUITES]
+        if not suites:
+            require_u_window(ctx.trunc)
     reports: list[Report] = []
-    for suite in config.suites:
+    for suite in suites:
         reports.extend(_SUITES[suite](ctx, config.seed))
     return reports

@@ -44,6 +44,7 @@ __all__ = [
     "build_y",
     "build_l",
     "u_weighted",
+    "require_u_window",
     "VirasoroBundle",
     "build_virasoro",
     "bracket_cases",
@@ -113,6 +114,12 @@ def u_weighted(
     return out
 
 
+def require_u_window(trunc: Truncation) -> None:
+    """X+ and Y+ start at u^1: a window closed in u holds none of them."""
+    if trunc.max_u_degree < 1:
+        raise ValueError("the raising operators need max_u_degree >= 1")
+
+
 @dataclass(eq=False)
 class VirasoroBundle:
     """The raising operators of one window, each built on first use and then kept.
@@ -127,8 +134,7 @@ class VirasoroBundle:
 
     @functools.cached_property
     def a(self) -> tuple[Fraction, ...]:
-        if self.trunc.max_u_degree < 1:
-            raise ValueError("the raising operators need max_u_degree >= 1")
+        require_u_window(self.trunc)
         return tuple(solve_a_coeffs(self.trunc.max_u_degree))
 
     @functools.cached_property

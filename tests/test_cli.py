@@ -122,6 +122,32 @@ def test_theorem_runs_in_a_window_smaller_than_its_random_inputs(capsys):
     assert reports[1]["cases"] == 10
 
 
+U_CLOSED = ["--max-u-degree", "0", "--max-index", "5", "--max-t-degree", "2"]
+
+
+def test_verify_with_closed_u_window_runs_the_other_suites(capsys):
+    assert main(["verify", *U_CLOSED, "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["identity"] for r in reports] == [
+        "constants",
+        "w-factorization",
+        "w-factorization[from_u]",
+        "hat-t",
+        "brackets(m,n<=2)",
+    ]
+    assert all(r["status"] == "pass" for r in reports)
+
+
+def test_verify_with_closed_u_window_rejects_only_raising_suites(capsys):
+    suites = "virasoro-split,ex-closed-form,bridge,theorem"
+    assert main(["verify", *U_CLOSED, "--suite", suites]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration rejected: the raising operators need max_u_degree >= 1\n"
+    )
+
+
 def test_failed_internal_cross_check_exits_3(monkeypatch, capsys):
     divided = special.q_omega_division
     monkeypatch.setattr(special, "q_omega_division", lambda tr: divided(tr).scale(2))

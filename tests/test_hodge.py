@@ -9,6 +9,7 @@ from hodgeflow.hodge import (
     build_shift_u,
     build_w_omega,
     build_w_u,
+    factorization_cases,
     hat_t,
     instantiate_omega,
     theta_map,
@@ -17,9 +18,10 @@ from hodgeflow.hodge import (
     verify_w_factorization,
     w_omega_parts,
 )
-from hodgeflow.operators import Operator
+from hodgeflow.operators import Operator, check, exp_basis_cases
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
 from hodgeflow.pipeline import VerificationConfig, run_suite
+from hodgeflow.report import Mismatch
 from hodgeflow.series import (
     Monomial,
     PARAM_HBAR,
@@ -185,6 +187,29 @@ def test_w_factorization_small_windows():
     assert [r.identity for r in reports] == ["w-factorization", "w-factorization[from_u]"]
     assert all(r.passed for r in reports)
     assert verify_w_factorization(H2, Truncation(2, 4, 4, 2, 3)).passed
+
+
+def test_w_factorization_fails_when_only_the_q_p_order_holds():
+    # [q, p] = -hbar u t[2] d/dt[0] is central, so exp(q) exp(p) is
+    # exp(q + p + [q, p]/2) = exp(whole) and exp(p) exp(q) is not
+    trunc = Truncation(3, 3, 3, 3, 0)
+    kernel = Operator.atom(2, mult=[t_var(1)], deriv=[t_var(0)])
+    p = Operator.atom(1, params={PARAM_U: 1}, mult=[t_var(2)], deriv=[t_var(1)])
+    q_half = kernel.scale(Fraction(1, 2), {PARAM_HBAR: 1})
+    whole = q_half.add(p).add(
+        Operator.atom(
+            Fraction(-1, 2), params={PARAM_HBAR: 1, PARAM_U: 1}, mult=[t_var(2)], deriv=[t_var(0)]
+        )
+    )
+    both = factorization_cases(PT, trunc, whole, Operator.zero(), kernel, p)
+    report = check("w-factorization", PT.name, trunc, both)
+    assert not report.passed
+    assert report.cases == 35
+    assert report.mismatches[0] == Mismatch("p.q order . t[0,0] at hbar * u * t[2,0]", "0", "1")
+    variables = t_variables(PT, trunc)
+    q_p = exp_basis_cases(whole, [("q.p order", [q_half, p])], trunc, variables, 3)
+    alone = check("w-factorization", PT.name, trunc, q_p)
+    assert alone.passed and alone.cases == 35
 
 
 def test_zassenhaus_tail_of_derivative_part_is_coordinate_shift():

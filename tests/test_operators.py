@@ -595,3 +595,103 @@ def test_exp_apply_window_consistency_l_plus(seed, pairing, narrow, extra):
     got = build_virasoro(pairing, wide).l_weighted.exp_apply(s.truncated(wide))
     want = build_virasoro(pairing, narrow).l_weighted.exp_apply(s)
     assert got.truncated(narrow) == want
+
+
+# -- exp of a derivation is a change of variables --------------------------------
+
+
+def iterated_exp(op: Operator, s: Series) -> Series:
+    """Sum op^k(s)/k! one apply at a time, under the series' window."""
+    out = term = s
+    k = 0
+    while not term.is_zero():
+        k += 1
+        assert k < 64, "the iteration did not die out"
+        term = op.apply(term).scale(Fraction(1, k))
+        out = out.add(term)
+    return out
+
+
+DERIVATION_GAINS = [None, PARAM_U, PARAM_HBAR, omega_param(1), omega_param(2)]
+
+
+def random_derivation(rng: random.Random, index: int) -> Operator:
+    """Atoms c * gain * d/dv and c * gain * w d/dv over t[0..index] in two colors.
+
+    An atom without a gain is a pure derivative or lowers the index, so the
+    exponential terminates."""
+    op = Operator.zero()
+    for _ in range(rng.randint(1, 6)):
+        v = t_var(rng.randint(0, index), rng.randint(0, 1))
+        mult = [t_var(rng.randint(0, index), rng.randint(0, 1))] if rng.random() < 0.7 else []
+        gain = rng.choice(DERIVATION_GAINS)
+        if gain is None and mult and mult[0].index >= v.index:
+            gain = PARAM_U
+        params = {} if gain is None else {gain: rng.randint(1, 2)}
+        coeff = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        op = op.add(Operator.atom(coeff, params=params, mult=mult, deriv=[v]))
+    return op
+
+
+def random_window_input(rng: random.Random, trunc: Truncation) -> Series:
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        vars = [
+            (t_var(rng.randint(0, trunc.max_var_index), rng.randint(0, 1)), rng.randint(1, 2))
+            for _ in range(rng.randint(0, 2))
+        ]
+        params = [(rng.choice(PARAMS), 1) for _ in range(rng.randint(0, 2))]
+        terms[Monomial.build(vars, params)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Series(trunc, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    trunc=st.builds(
+        Truncation,
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(0, 3),
+    ),
+)
+def test_exp_of_derivation_equals_iteration(seed, trunc):
+    rng = random.Random(seed)
+    op = random_derivation(rng, trunc.max_var_index)
+    assert op.is_window_derivation(trunc)
+    for s in (random_window_input(rng, trunc), random_window_input(rng, trunc)):
+        assert op.exp_apply(s) == iterated_exp(op, s)
+
+
+def test_exp_apply_iterates_when_a_multiplication_raises_degree():
+    trunc = Truncation(2, 3, 4, 0, 0)
+    op = Operator.atom(1, params={PARAM_U: 1}, mult=[t_var(0), t_var(0)], deriv=[t_var(1)])
+    op = op.add(Operator.atom(1, params={PARAM_U: 1}, deriv=[t_var(0)]))
+    assert not op.is_window_derivation(trunc)
+    s = Series.of_monomial(trunc, Monomial.build({t_var(1): 2}))
+    assert op.exp_apply(s).render() == "1 * t[1,0]^2"
+    # t[1] -> exp(op) . t[1], substituted, would be wrong here
+    image = iterated_exp(op, Series.of_var(trunc, t_var(1)))
+    assert len(s.substitute({t_var(1): image}).terms) == 4
+
+
+def test_window_derivation_needs_every_variable_in_the_window():
+    op = Operator.atom(1, params={PARAM_U: 1}, mult=[t_var(3)], deriv=[t_var(0)])
+    assert op.is_window_derivation(Truncation(2, 3, 2, 0, 0))
+    assert not op.is_window_derivation(Truncation(2, 2, 2, 0, 0))
+    second_order = Operator.atom(1, params={PARAM_U: 1}, deriv=[t_var(0), t_var(1)])
+    assert not second_order.is_window_derivation(Truncation(2, 3, 2, 0, 0))
+
+
+def test_exp_apply_of_one_derivation_in_two_windows():
+    # exp(u t[0] d/dt[0]) . t[0] = e^u t[0], cut at each window's u-degree
+    atoms = Operator.atom(1, params={PARAM_U: 1}, mult=[t_var(0)], deriv=[t_var(0)]).atoms
+    narrow, wide = Truncation(1, 2, 1, 0, 0), Truncation(1, 2, 3, 0, 0)
+    for order in ((narrow, wide), (wide, narrow)):
+        op = Operator(atoms)
+        for trunc in order:
+            got = op.exp_apply(Series.of_var(trunc, t_var(0)))
+            assert len(got.terms) == trunc.max_u_degree + 1
+            assert got == iterated_exp(op, Series.of_var(trunc, t_var(0)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hodgeflow import hodge, operators, pipeline, special, virasoro
 
 from hodgeflow.hodge import build_w_u
-from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
+from hodgeflow.pairing import hyperbolic2_pairing, pairing_from_spec, point_pairing
 from hodgeflow.pipeline import (
     Context,
     VerificationConfig,
@@ -338,6 +338,37 @@ def test_run_suite_builds_each_operator_once(monkeypatch, spec, towers):
         "q_u": 1,
         "zassenhaus_tail": towers,
     }
+
+
+@pytest.mark.parametrize("spec", ["point", "hyperbolic2"])
+def test_default_window_derivations_exponentiate_by_substitution(monkeypatch, spec):
+    # X+, shift_u and p_u have one first-order derivative and at most one
+    # multiplication per atom; the flow, L+ and the kernel do not
+    trunc = VerificationConfig().truncation()
+    ctx = Context(pairing_from_spec(spec), trunc)
+    substituted = []
+    original = Series.substitute
+
+    def counting(self, rule):
+        substituted.append(rule)
+        return original(self, rule)
+
+    monkeypatch.setattr(Series, "substitute", counting)
+    t_start = Series.of_var(trunc, t_var(2))
+    q_start = Series.of_var(trunc, q_var(3))
+    for name, start, derivation in (
+        ("x_plus", q_start, True),
+        ("shift_u", t_start, True),
+        ("p_u", t_start, True),
+        ("w_u", t_start, False),
+        ("l_weighted", q_start, False),
+        ("kernel", t_start, False),
+    ):
+        op = getattr(ctx, name)
+        assert op.is_window_derivation(trunc) == derivation, name
+        before = len(substituted)
+        op.exp_apply(start)
+        assert len(substituted) - before == derivation, name
 
 
 def test_run_suite_rejects_unknown_suite():
