@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .pipeline import ALL_SUITES, VerificationConfig, run_suite
 from .special import CrossCheckError, c_const, r_poly, solve_a_coeffs
-from .witten import correlator_dimension_ok, intersection
+from .witten import _insertion_multisets, intersection
 
 
 def _add_window_args(p: argparse.ArgumentParser) -> None:
@@ -83,16 +83,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     rows = []
-    from itertools import combinations_with_replacement
-
     for g in range(args.genus_max + 1):
         for n in range(1, args.max_insertions + 1):
-            want = 3 * g - 3 + n
-            if want < 0:
-                continue
-            for ks in combinations_with_replacement(range(min(want, args.max_index) + 1), n):
-                if sum(ks) != want or not correlator_dimension_ok(g, ks):
-                    continue
+            for ks in _insertion_multisets(n, 3 * g - 3 + n, args.max_index):
                 value = intersection(g, ks)
                 if value:
                     rows.append({"g": g, "ks": list(ks), "value": str(value)})

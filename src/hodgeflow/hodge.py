@@ -26,7 +26,6 @@ from .report import Report
 from .series import (
     Monomial,
     PARAM_HBAR,
-    PARAM_U,
     PARAM_X,
     PARAM_Y,
     ParamId,
@@ -35,7 +34,7 @@ from .series import (
     omega_param,
     t_var,
 )
-from .special import omega_bernoulli, q_omega, r_poly, single_lambda_rule, u_wide
+from .special import q_omega, r_poly, single_lambda_rule, u_wide
 
 __all__ = [
     "WOmegaParts",
@@ -64,6 +63,44 @@ def t_variables(pairing: Pairing, trunc: Truncation) -> list:
     ]
 
 
+@dataclass(frozen=True)
+class WOmegaParts:
+    """The three graded summands of the coupled flow generator."""
+
+    shift: Operator        # variable-shift family, lowers indices by 2l-1
+    derivative: Operator   # constant first-order derivatives
+    contraction: Operator  # second-order, enters with an explicit hbar/2
+
+    def total(self) -> Operator:
+        half = self.contraction.scale(Fraction(1, 2), {PARAM_HBAR: 1})
+        return Operator.sum((self.shift, self.derivative, half))
+
+
+def _d_parts(
+    l: int, pairing: Pairing, trunc: Truncation, params: dict[ParamId, int]
+) -> WOmegaParts:
+    """The three summands of D_l (see build_d), each atom carrying params and the
+    contraction without its hbar/2; atoms on a variable beyond the index window
+    are dropped (they annihilate every retained monomial)."""
+    shift = Operator.sum(
+        Operator.atom(
+            -1, params=params, mult=[t_var(i, a)], deriv=[t_var(i + 2 * l - 1, a)]
+        )
+        for a in pairing.colors()
+        for i in range(trunc.max_var_index + 1)
+    )
+    derivative = Operator.atom(1, params=params, deriv=[t_var(2 * l, 0)])
+    contraction = Operator.sum(
+        Operator.atom(
+            (-1) ** i * v, params=params, deriv=[t_var(i, mu), t_var(2 * l - 2 - i, nu)]
+        )
+        for i in range(2 * l - 1)
+        for mu, nu, v in pairing.inverse_entries()
+    )
+    parts = (shift, derivative, contraction)
+    return WOmegaParts(*(part.truncate(trunc) for part in parts))
+
+
 def build_d(l: int, pairing: Pairing, trunc: Truncation) -> Operator:
     """The l-th flow generator:
 
@@ -75,95 +112,32 @@ def build_d(l: int, pairing: Pairing, trunc: Truncation) -> Operator:
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    op = Operator.zero()
-    if 2 * l <= trunc.max_var_index:
-        op = op.add(Operator.atom(1, deriv=[t_var(2 * l, 0)]))
-    for a in pairing.colors():
-        for i in range(0, trunc.max_var_index - (2 * l - 1) + 1):
-            op = op.add(
-                Operator.atom(-1, mult=[t_var(i, a)], deriv=[t_var(i + 2 * l - 1, a)])
-            )
-    for i in range(0, 2 * l - 1):
-        j = 2 * l - 2 - i
-        if i > trunc.max_var_index or j > trunc.max_var_index:
-            continue
-        for mu, nu, v in pairing.inverse_entries():
-            op = op.add(
-                Operator.atom(
-                    Fraction((-1) ** i, 2) * v,
-                    params={PARAM_HBAR: 1},
-                    deriv=[t_var(i, mu), t_var(j, nu)],
-                )
-            )
-    return op
-
-
-@dataclass(frozen=True)
-class WOmegaParts:
-    """The three graded summands of the coupled flow generator."""
-
-    shift: Operator        # variable-shift family, lowers indices by 2l-1
-    derivative: Operator   # constant first-order derivatives
-    contraction: Operator  # second-order, enters with an explicit hbar/2
-
-    def total(self) -> Operator:
-        return self.shift.add(self.derivative).add(
-            self.contraction.scale(Fraction(1, 2), {PARAM_HBAR: 1})
-        )
+    return _d_parts(l, pairing, trunc, {}).total()
 
 
 def w_omega_parts(pairing: Pairing, trunc: Truncation) -> WOmegaParts:
-    shift = Operator.zero()
-    derivative = Operator.zero()
-    contraction = Operator.zero()
-    for l in range(1, (trunc.max_omega_weight + 1) // 2 + 1):
-        w = {omega_param(l): 1}
-        for a in pairing.colors():
-            for i in range(0, trunc.max_var_index - (2 * l - 1) + 1):
-                shift = shift.add(
-                    Operator.atom(
-                        -1, params=w, mult=[t_var(i, a)], deriv=[t_var(i + 2 * l - 1, a)]
-                    )
-                )
-        if 2 * l <= trunc.max_var_index:
-            derivative = derivative.add(
-                Operator.atom(1, params=w, deriv=[t_var(2 * l, 0)])
-            )
-        for i in range(0, 2 * l - 1):
-            j = 2 * l - 2 - i
-            if i > trunc.max_var_index or j > trunc.max_var_index:
-                continue
-            for mu, nu, v in pairing.inverse_entries():
-                contraction = contraction.add(
-                    Operator.atom(
-                        Fraction((-1) ** i) * v,
-                        params=w,
-                        deriv=[t_var(i, mu), t_var(j, nu)],
-                    )
-                )
-    return WOmegaParts(shift, derivative, contraction)
+    """sum_l w[l] D_l in its three parts, l capped by the coupling-weight window."""
+    per_l = [
+        _d_parts(l, pairing, trunc, {omega_param(l): 1})
+        for l in range(1, (trunc.max_omega_weight + 1) // 2 + 1)
+    ]
+    return WOmegaParts(
+        Operator.sum(d.shift for d in per_l),
+        Operator.sum(d.derivative for d in per_l),
+        Operator.sum(d.contraction for d in per_l),
+    )
 
 
 def build_w_omega(pairing: Pairing, trunc: Truncation) -> Operator:
     """sum_l w[l] D_l with l capped by the coupling-weight window."""
-    op = Operator.zero()
-    for l in range(1, (trunc.max_omega_weight + 1) // 2 + 1):
-        op = op.add(build_d(l, pairing, trunc).scale(1, {omega_param(l): 1}))
-    return op
+    return w_omega_parts(pairing, trunc).total()
 
 
 def build_w_u(pairing: Pairing, trunc: Truncation) -> Operator:
-    """The single-lambda flow generator: -sum_l B_{2l}/(2l(2l-1)) u^{2(2l-1)} D_l."""
-    op = Operator.zero()
-    l = 1
-    while 2 * (2 * l - 1) <= trunc.max_u_degree:
-        op = op.add(
-            build_d(l, pairing, trunc).scale(
-                omega_bernoulli(l), {PARAM_U: 2 * (2 * l - 1)}
-            )
-        )
-        l += 1
-    return op
+    """The single-lambda flow generator -sum_l B_{2l}/(2l(2l-1)) u^{2(2l-1)} D_l,
+    ranged by the u window."""
+    wide = u_wide(trunc)
+    return instantiate_omega(build_w_omega(pairing, wide), wide)
 
 
 def build_shift_u(pairing: Pairing, trunc: Truncation) -> Operator:
@@ -190,7 +164,7 @@ def theta_map(b: Series, pairing: Pairing, trunc: Truncation) -> Operator:
     Non-(x,y) parameters in a term ride along as atom coefficients; variable
     content is rejected.  Target indices beyond the window are dropped.
     """
-    op = Operator.zero()
+    atoms = []
     for m, c in b.terms.items():
         if m.vars:
             raise ValueError("theta map expects a parameter-only series")
@@ -205,26 +179,20 @@ def theta_map(b: Series, pairing: Pairing, trunc: Truncation) -> Operator:
                 rest.append((p, e))
         if i > trunc.max_var_index or j > trunc.max_var_index:
             continue
-        for mu, nu, v in pairing.inverse_entries():
-            op = op.add(
-                Operator.atom(
-                    c * v, params=rest, deriv=[t_var(i, mu), t_var(j, nu)]
-                )
-            )
-    return op
+        atoms += (
+            Operator.atom(c * v, params=rest, deriv=[t_var(i, mu), t_var(j, nu)])
+            for mu, nu, v in pairing.inverse_entries()
+        )
+    return Operator.sum(atoms)
 
 
 def build_p(trunc: Truncation) -> Operator:
     """-sum_{i>=1} R_i d/dt[1+i, 0], indices and weights capped by the window."""
-    op = Operator.zero()
-    for i in range(1, trunc.max_omega_weight + 1):
-        if 1 + i > trunc.max_var_index:
-            continue
-        for m, c in r_poly(i, trunc).terms.items():
-            op = op.add(
-                Operator.atom(-c, params=m.params, deriv=[t_var(1 + i, 0)])
-            )
-    return op
+    return Operator.sum(
+        Operator.atom(-c, params=m.params, deriv=[t_var(1 + i, 0)])
+        for i in range(1, trunc.max_omega_weight + 1)
+        for m, c in r_poly(i, trunc).terms.items()
+    ).truncate(trunc)
 
 
 def hat_t(n: int, alpha: int, trunc: Truncation) -> Series:

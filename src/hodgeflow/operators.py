@@ -149,11 +149,17 @@ class Operator:
 
     # -- linear structure ------------------------------------------------------
 
-    def add(self, other: "Operator") -> "Operator":
-        out = dict(self.atoms)
-        for key, c in other.atoms.items():
-            _accumulate(out, key, c)
+    @staticmethod
+    def sum(ops: Iterable["Operator"]) -> "Operator":
+        """The sum of the operators, every atom accumulated once into one map."""
+        out: dict[AtomKey, Fraction] = {}
+        for op in ops:
+            for key, c in op.atoms.items():
+                _accumulate(out, key, c)
         return Operator(out, _clean=True)
+
+    def add(self, other: "Operator") -> "Operator":
+        return Operator.sum((self, other))
 
     def neg(self) -> "Operator":
         return Operator({k: -c for k, c in self.atoms.items()}, _clean=True)

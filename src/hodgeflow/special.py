@@ -271,12 +271,14 @@ def q_b(trunc: Truncation) -> Series:
 def q_u(trunc: Truncation) -> Series:
     """Kernel at couplings scaled by u^{2(2l-1)}; checked against the u-rescaled q_b.
 
-    The kernel is enumerated in u_wide(trunc), which holds every coupling that
-    reaches the u window.
+    The kernel is enumerated once, in u_wide(trunc), which holds every coupling
+    that reaches the u window, and both routes are instantiated from it.
     """
     wide = u_wide(trunc)
-    direct = q_omega(wide).substitute(single_lambda_rule(wide))
-    scaled = q_b(wide).substitute(
+    kernel = q_omega(wide)
+    direct = kernel.substitute(single_lambda_rule(wide))
+    at_b = kernel.substitute(single_lambda_rule(wide, u_per_weight=0))
+    scaled = at_b.substitute(
         {
             PARAM_X: Series.of_monomial(
                 wide, Monomial.build((), {PARAM_U: 2, PARAM_X: 1})

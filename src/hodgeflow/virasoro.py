@@ -69,30 +69,21 @@ def q_variables(pairing: Pairing, trunc: Truncation) -> list:
 def build_x(m: int, pairing: Pairing, trunc: Truncation) -> Operator:
     if m < 1:
         raise ValueError("m must be >= 1")
-    op = Operator.zero()
-    for a in pairing.colors():
-        for k in range(1, trunc.max_var_index - m + 1):
-            op = op.add(
-                Operator.atom(k + m, mult=[q_var(k, a)], deriv=[q_var(k + m, a)])
-            )
-    return op
+    return Operator.sum(
+        Operator.atom(k + m, mult=[q_var(k, a)], deriv=[q_var(k + m, a)])
+        for a in pairing.colors()
+        for k in range(1, trunc.max_var_index - m + 1)
+    )
 
 
 def build_y(m: int, pairing: Pairing, trunc: Truncation) -> Operator:
     if m < 1:
         raise ValueError("m must be >= 1")
-    op = Operator.zero()
-    for a in range(1, m):
-        b = m - a
-        if a > trunc.max_var_index or b > trunc.max_var_index:
-            continue
-        for mu, nu, v in pairing.inverse_entries():
-            op = op.add(
-                Operator.atom(
-                    Fraction(a * b) * v, deriv=[q_var(a, mu), q_var(b, nu)]
-                )
-            )
-    return op
+    return Operator.sum(
+        Operator.atom(a * (m - a) * v, deriv=[q_var(a, mu), q_var(m - a, nu)])
+        for a in range(1, m)
+        for mu, nu, v in pairing.inverse_entries()
+    ).truncate(trunc)
 
 
 def build_l(m: int, pairing: Pairing, trunc: Truncation) -> Operator:
@@ -108,10 +99,10 @@ def u_weighted(
     trunc: Truncation,
 ) -> Operator:
     """sum_m a_m u^m build(m), m = 1 .. len(a): X+ from build_x, Y+ from build_y."""
-    out = Operator.zero()
-    for m, a_m in enumerate(a, start=1):
-        out = out.add(build(m, pairing, trunc).scale(a_m, {PARAM_U: m}))
-    return out
+    return Operator.sum(
+        build(m, pairing, trunc).scale(a_m, {PARAM_U: m})
+        for m, a_m in enumerate(a, start=1)
+    )
 
 
 def require_u_window(trunc: Truncation) -> None:
@@ -219,7 +210,7 @@ def delta_map(op_pt: Operator, pairing: Pairing) -> Operator:
 
     d2/dq[m] dq[n] -> sum eta^{mn} d2/dq[m,mu] dq[n,nu], extended linearly.
     """
-    out = Operator.zero()
+    atoms = []
     for (params, mult, deriv), c in op_pt.atoms.items():
         if mult:
             raise OperatorClassError("delta map expects pure-derivative atoms")
@@ -231,15 +222,13 @@ def delta_map(op_pt: Operator, pairing: Pairing) -> Operator:
         if len(flat) != 2:
             raise OperatorClassError("delta map expects exactly second order")
         va, vb = flat
-        for mu, nu, v in pairing.inverse_entries():
-            out = out.add(
-                Operator.atom(
-                    c * v,
-                    params=params,
-                    deriv=[q_var(va.index, mu), q_var(vb.index, nu)],
-                )
+        atoms += (
+            Operator.atom(
+                c * v, params=params, deriv=[q_var(va.index, mu), q_var(vb.index, nu)]
             )
-    return out
+            for mu, nu, v in pairing.inverse_entries()
+        )
+    return Operator.sum(atoms)
 
 
 def verify_virasoro_split(bundle: VirasoroBundle, max_degree: int | None = None) -> Report:

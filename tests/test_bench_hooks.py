@@ -56,3 +56,9 @@ def test_worker_calls_resolve():
     trunc = hf.Truncation(6, 15, 8, 3, 0)
     assert trunc.replace(max_var_index=7).max_var_index == 7
     assert hf.series.PARAM_U.kind == "u"
+
+
+def test_tracer_depth_probe_resolves():
+    # Tracer.install wraps Operator.commutator to count ad-steps, outside LAYERS
+    assert callable(hf.operators.Operator.commutator)
+    inspect.signature(hf.operators.Operator.commutator).bind(None, None)

@@ -1,7 +1,9 @@
 """Flow generators, their factorization, and the coordinate-shift machinery."""
 
+import hashlib
 from fractions import Fraction
 
+from hodgeflow import hodge
 from hodgeflow.hodge import (
     build_d,
     build_p,
@@ -34,7 +36,15 @@ from hodgeflow.series import (
     random_series,
     t_var,
 )
-from hodgeflow.special import q_omega, q_u, r_poly, single_lambda_rule
+from hodgeflow.special import (
+    omega_bernoulli,
+    q_omega,
+    q_u,
+    r_poly,
+    single_lambda_rule,
+    solve_a_coeffs,
+)
+from hodgeflow.virasoro import build_x, build_y, delta_map, u_weighted
 
 PT = point_pairing()
 H2 = hyperbolic2_pairing()
@@ -312,3 +322,106 @@ def test_shift_u_and_p_u_windows_follow_u_budget():
     tr = Truncation(3, 8, 6, 2, 0)  # no coupling window at all
     assert not build_shift_u(PT, tr).is_zero()
     assert not build_p_u(tr).is_zero()
+
+
+def _builder_renders(pairing, trunc):
+    """Each builder's operator at one pairing and window, its sorted atoms rendered."""
+    a = solve_a_coeffs(trunc.max_u_degree)
+    parts = w_omega_parts(pairing, trunc)
+    ops = {f"build_d({l})": build_d(l, pairing, trunc) for l in (1, 2, 3, 4)}
+    ops.update(
+        shift=parts.shift,
+        derivative=parts.derivative,
+        contraction=parts.contraction,
+        build_w_omega=build_w_omega(pairing, trunc),
+        build_w_u=build_w_u(pairing, trunc),
+        build_p=build_p(trunc),
+        theta_q_u=theta_map(q_u(trunc), pairing, trunc),
+        x_plus=u_weighted(build_x, a, pairing, trunc),
+        y_plus=u_weighted(build_y, a, pairing, trunc),
+        delta_y_plus=delta_map(u_weighted(build_y, a, PT, trunc), pairing),
+    )
+    ops.update({f"build_x({m})": build_x(m, pairing, trunc) for m in (1, 2, 3)})
+    ops.update({f"build_y({m})": build_y(m, pairing, trunc) for m in (2, 3, 4, 9)})
+    return {name: op.render() for name, op in ops.items()}
+
+
+# the last window, with build_d(4) and build_y(9), cuts atoms at the index window
+DIGEST_WINDOWS = (
+    Truncation(3, 8, 6, 2, 4),
+    Truncation(6, 15, 8, 3, 0),
+    Truncation(2, 6, 4, 2, 0),
+    Truncation(2, 5, 4, 1, 6),
+)
+
+# sha256 over the renders of each builder at point then hyperbolic2, each at
+# DIGEST_WINDOWS in order; pinned from the builders before they were rewritten
+# onto Operator.sum and the single D_l routine
+BUILDER_DIGESTS = {
+    "build_d(1)": "464bf7001f244ba6830c567b95e7a693c7e5d63eecec3ccab8636a5c1a0e6b35",
+    "build_d(2)": "e7b69e82e370294e4428a276349a471f47833d08ab31ea23aecb2ff193a339e4",
+    "build_d(3)": "cb6bad8e4776bc62b60226f309258a9ecbc8428bdd3a215b27bfcc6281847cdc",
+    "build_d(4)": "56f70cfd31ed3d3fe80bd7bcc79088b49d4e77baa2afa425316686d53c574c0c",
+    "shift": "20c2f6835fddafa8068b2cb0ea1823c017f0280d3916d450935731c2c7d414a2",
+    "derivative": "34ae3b18986a15fd1579d19a48fe4c3d7eff19f2d4cb9e08a818f159e2851ce0",
+    "contraction": "2666f0c9f5664f40b12433fc4719add3cb7b3e226a5a692c0a256afa98cb0a05",
+    "build_w_omega": "8eac4c4cfc28b6ba85ddd0a85b41639536767b10c45d80c21bfb9068aa444f87",
+    "build_w_u": "f84298ea89d488459f74d4eb3e2c50d5f919fcf305e55ccef88b269149d0e08b",
+    "build_p": "458360f043c132e2078d6a670fd22d9898e116db50c4dd89aee7ecc53c3d0a4f",
+    "theta_q_u": "4779a2059197d1156fa059cf0601751a5012eae35c4aff52b8c820a22454abed",
+    "x_plus": "0d35012b307bba63ec56f569bc03e8210f49b64431219fd4871c365a556e4854",
+    "y_plus": "bc53580f66bbf49d792510ccbec9c046bca616e32db1d27625ef76b0ecadd3ae",
+    "delta_y_plus": "bc53580f66bbf49d792510ccbec9c046bca616e32db1d27625ef76b0ecadd3ae",
+    "build_x(1)": "fca083c9c1c6029db0ab1feed1b077ad79893d8c22f67313f547f1eb77cb8f2f",
+    "build_x(2)": "3864af6af860091752f9f1b4eb844d439bbb1b77f6aaa9d80e873151c1778b2c",
+    "build_x(3)": "588cbef1dba8e5c9af77c2e76a8c74fa8d2a49a4a4c31c202431d34c61d12fc9",
+    "build_y(2)": "32a5318e11d4cdb66b7126045bb3de832e922a1d3bf1c4429ccbc736a881bf47",
+    "build_y(3)": "3c391b1b8f79a668409dd6210c064ef683e5cf8b634aa6b4bc300901a4cb304c",
+    "build_y(4)": "96000165ba6e6983e9122c697a8978a451ed365e71722456ac68aa398e8bb9a2",
+    "build_y(9)": "eaddbb5b82d7e3947db6958af65ebc5b916654d46014e5929f7d461ca5b6adf8",
+}
+
+
+def test_builder_atoms_are_pinned():
+    digests = {}
+    for pairing in (PT, H2):
+        for trunc in DIGEST_WINDOWS:
+            for name, text in _builder_renders(pairing, trunc).items():
+                digests.setdefault(name, hashlib.sha256()).update(text.encode() + b"\n")
+    assert {name: h.hexdigest() for name, h in digests.items()} == BUILDER_DIGESTS
+
+
+def test_w_u_at_hbar_zero_is_the_exp_of_the_scaled_flow_generators():
+    # an hbar-0 window drops the contraction atoms, which cannot act there, so
+    # W_u is a derivation; its exp equals that of the full sum of scaled D_l
+    trunc = Truncation(2, 13, 14, 0, 0)
+    for pairing in (PT, H2):
+        w_u = build_w_u(pairing, trunc)
+        assert w_u.is_window_derivation(trunc)
+        # l <= 4: D_l enters at u^{2(2l-1)}, which must fit u^14
+        reference = Operator.sum(
+            build_d(l, pairing, trunc).scale(
+                omega_bernoulli(l), {PARAM_U: 2 * (2 * l - 1)}
+            )
+            for l in range(1, 5)
+        )
+        assert not reference.is_window_derivation(trunc)
+        pool = t_variables(pairing, trunc.replace(max_var_index=4))
+        for seed in (3, 11):
+            z = random_series(seed, trunc, 6, variables=pool, max_u=2)
+            assert w_u.exp_apply(z) == reference.exp_apply(z)
+
+
+def test_hat_t_fails_on_a_doubled_coordinate_shift_atom(monkeypatch):
+    build_p = hodge.build_p
+
+    def doubled(trunc):
+        p = build_p(trunc)
+        key, c = p.sorted_atoms()[0]
+        return p.add(Operator({key: c}))
+
+    monkeypatch.setattr(hodge, "build_p", doubled)
+    (report,) = run_suite(VerificationConfig(suites=("hat-t",)))
+    assert not report.passed
+    # exp(p) . t[2,0] = t[2,0] + w[1] before the doubling
+    assert report.mismatches[0] == Mismatch("coordinate shift t[2,0] at w[1]", "2", "1")

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgeflow.operators import (
@@ -695,3 +695,32 @@ def test_exp_apply_of_one_derivation_in_two_windows():
             got = op.exp_apply(Series.of_var(trunc, t_var(0)))
             assert len(got.terms) == trunc.max_u_degree + 1
             assert got == iterated_exp(op, Series.of_var(trunc, t_var(0)))
+
+
+# atoms over a small alphabet, so that operands often share atoms and cancel
+_ATOM = st.builds(
+    Operator.atom,
+    st.integers(-2, 2),
+    st.sampled_from([{}, {PARAM_U: 1}, {PARAM_HBAR: 1, omega_param(1): 2}]),
+    st.sampled_from([[], [t_var(0)], [t_var(1), q_var(1)]]),
+    st.sampled_from([[t_var(0)], [t_var(1), t_var(1)]]),
+)
+_OPERAND = st.lists(_ATOM, max_size=4).map(
+    lambda atoms: Operator(item for atom in atoms for item in atom.atoms.items())
+)
+_CANCELLING = Operator.atom(3, {PARAM_U: 1}, [t_var(0)], [t_var(1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(_OPERAND, max_size=5))
+@example(ops=[])
+@example(ops=[_CANCELLING, _CANCELLING.neg()])
+def test_sum_is_the_left_fold_of_add(ops):
+    fold = Operator.zero()
+    for op in ops:
+        fold = fold.add(op)
+    total = Operator.sum(iter(ops))
+    assert total == fold
+    assert all(total.atoms.values())
+    # the constructor accumulates the same atoms through its own path
+    assert total == Operator(item for op in ops for item in op.atoms.items())

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hodgeflow import special
 from hodgeflow.rationals import bernoulli
 from hodgeflow.series import (
     Monomial,
@@ -278,3 +279,11 @@ def test_phi_tilde_example():
     assert p2.coefficient(Monomial.build({q_var(5): 1})) == 3
     with pytest.raises(TruncationError):
         phi_tilde(3, 0, tr)
+
+
+def test_q_u_enumerates_the_kernel_once(monkeypatch):
+    # both routes of q_u's cross-check start from one cross-checked kernel
+    calls = []
+    monkeypatch.setattr(special, "q_omega", lambda tr: calls.append(tr) or q_omega(tr))
+    q_u(Truncation(0, 0, 6, 0, 0))
+    assert len(calls) == 1

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from hodgeflow import virasoro
 from hodgeflow.operators import Operator, OperatorClassError
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
+from hodgeflow.pipeline import VerificationConfig, run_suite
 from hodgeflow.report import Mismatch
 from hodgeflow.series import (
     Monomial,
@@ -206,3 +208,15 @@ def test_raised_q3_explicit():
     assert got.coefficient(Monomial.build({q_var(3): 1})) == 1
     assert got.coefficient(Monomial.build({q_var(2): 1}, {PARAM_U: 1})) == 2
     assert got.coefficient(Monomial.build({q_var(1): 1}, {PARAM_U: 2})) == Fraction(13, 12)
+
+
+def test_brackets_fail_on_a_doubled_y3(monkeypatch):
+    # [L1,L2] = -L3 carries -(hbar/2) Y_3 = -2 hbar d/dq[1] d/dq[2] on the point
+    build_y = virasoro.build_y
+    monkeypatch.setattr(
+        virasoro, "build_y", lambda m, p, t: build_y(m, p, t).scale(2 if m == 3 else 1)
+    )
+    (report,) = run_suite(VerificationConfig(suites=("brackets",)))
+    assert not report.passed
+    first = Mismatch("[L1,L2] at hbar d/dq[1,0] d/dq[2,0]", "-2", "-4")
+    assert report.mismatches[0] == first
