@@ -28,7 +28,6 @@ from .special import (
     c_const,
     phi,
     phi_tilde,
-    q_b,
     q_omega,
     q_u,
     r_poly,

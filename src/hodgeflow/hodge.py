@@ -202,11 +202,13 @@ def hat_t(n: int, alpha: int, trunc: Truncation) -> Series:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = Series.zero(trunc)
-    for i in range(0, n + 1):
-        out = out.add(
+    out = Series.sum(
+        trunc,
+        (
             r_poly(i, trunc).mul_monomial(Monomial.build({t_var(n - i, alpha): 1}))
-        )
+            for i in range(0, n + 1)
+        ),
+    )
     if alpha == 0 and n >= 2:
         out = out.sub(r_poly(n - 1, trunc))
     return out
@@ -257,6 +259,14 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
     parts = w_omega_parts(pairing, trunc)
     p_shift = build_p(trunc)
 
+    def column_term(n: int, i: int, a: int) -> Series:
+        # R_i (-z)^i times the (-z)^(n-i) coefficient of the bracket at color a
+        factor = r_poly(i, trunc).scale(Fraction((-1) ** i))
+        bracket = Series.of_var(trunc, t_var(n - i, a), Fraction((-1) ** (n - i)))
+        if n - i == 1 and a == 0:
+            bracket = bracket.add(Series.one(trunc))
+        return factor.mul(bracket)
+
     def cases():
         for n in range(0, n_max + 1):
             for a in pairing.colors():
@@ -269,15 +279,7 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
                 lhs = hat_t(n, a, trunc).scale(Fraction((-1) ** n))
                 if n == 1 and a == 0:
                     lhs = lhs.add(Series.one(trunc))
-                rhs = Series.zero(trunc)
-                for i in range(0, n + 1):
-                    factor = r_poly(i, trunc).scale(Fraction((-1) ** i))
-                    bracket = Series.of_var(
-                        trunc, t_var(n - i, a), Fraction((-1) ** (n - i))
-                    )
-                    if n - i == 1 and a == 0:
-                        bracket = bracket.add(Series.one(trunc))
-                    rhs = rhs.add(factor.mul(bracket))
+                rhs = Series.sum(trunc, (column_term(n, i, a) for i in range(0, n + 1)))
                 yield f"z-series column (n={n}, a={a})", lhs, rhs
 
     return check("hat-t", pairing.name, trunc, cases())

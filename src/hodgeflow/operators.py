@@ -374,12 +374,20 @@ class Operator:
     def substitute_params(
         self, rule: Mapping[ParamId, Series], trunc: Truncation
     ) -> "Operator":
-        """Replace formal parameters in every atom (replacements parameter-only)."""
+        """Replace formal parameters in every atom (replacements parameter-only).
+
+        The atoms share few coupling monomials: each one's image is computed
+        once and scaled by every atom that carries it.
+        """
+        images: dict[tuple, dict[Monomial, Fraction]] = {}
         out: dict[AtomKey, Fraction] = {}
         for (params, mult, deriv), c in self.atoms.items():
-            carrier = Series.of_monomial(trunc, Monomial((), params), c)
-            for m, cc in carrier.substitute(rule).terms.items():
-                _accumulate(out, (m.params, mult, deriv), cc)
+            image = images.get(params)
+            if image is None:
+                carrier = Series.of_monomial(trunc, Monomial((), params))
+                image = images[params] = carrier.substitute(rule).terms
+            for m, cc in image.items():
+                _accumulate(out, (m.params, mult, deriv), c * cc)
         return Operator(out, _clean=True)
 
     # -- shape queries ------------------------------------------------------------

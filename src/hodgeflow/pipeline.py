@@ -299,6 +299,11 @@ def log_true_coefficient(stored: Series, offset: int, target: Monomial) -> Fract
     Correct whenever every product contributing to the target either lies in
     the stored window or is excluded by the degree window (the caller's side of
     the bargain; holds for offset = max_t_degree // 3 exponentials).
+
+    The k-th power is read only at the probe target * hbar^(k*offset), and
+    every exponent is non-negative, so only the terms dividing some probe are
+    kept; the window is a down-set, so it admits every divisor of an admitted
+    probe and the restriction changes no coefficient that is read.
     """
     trunc0 = stored.trunc
     k_max = trunc0.max_t_degree
@@ -306,19 +311,25 @@ def log_true_coefficient(stored: Series, offset: int, target: Monomial) -> Fract
     big = trunc0.replace(
         max_hbar_degree=trunc0.max_hbar_degree + k_max * max(offset, 1) + target_h
     )
-    x = stored.truncated(big).sub(
-        Series.of_monomial(big, Monomial.build((), {PARAM_HBAR: offset} if offset else ()))
-    )
-    base_params = [(p, e) for p, e in target.params if p.kind != "hbar"]
+    base_params = {p: e for p, e in target.params if p.kind != "hbar"}
+    var_caps = dict(target.vars)
+    param_caps = base_params | {PARAM_HBAR: target_h + k_max * offset}
+
+    def divides_a_probe(m: Monomial) -> bool:
+        return all(e <= var_caps.get(v, 0) for v, e in m.vars) and all(
+            e <= param_caps.get(p, 0) for p, e in m.params
+        )
+
+    kept = Series(big, ((m, c) for m, c in stored.terms.items() if divides_a_probe(m)))
+    x = kept.sub(Series.of_monomial(big, Monomial.build((), {PARAM_HBAR: offset})))
     total = Fraction(0)
     power = Series.one(big)
     for k in range(1, k_max + 1):
         power = power.mul(x)
         if power.is_zero():
             break
-        h = target_h + k * offset
         probe = Monomial.build(
-            dict(target.vars), dict(base_params) | ({PARAM_HBAR: h} if h else {})
+            target.vars, base_params | {PARAM_HBAR: target_h + k * offset}
         )
         total += Fraction((-1) ** (k + 1), k) * power.coefficient(probe)
     return total

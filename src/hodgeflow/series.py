@@ -310,12 +310,22 @@ class Series:
         if self.trunc != other.trunc:
             raise TruncationError("mismatched truncation policies")
 
+    @staticmethod
+    def sum(trunc: Truncation, parts: Iterable["Series"]) -> "Series":
+        """The sum of series under one policy, every term accumulated once into one map."""
+        out: dict[Monomial, Fraction] | None = None
+        for part in parts:
+            if part.trunc != trunc:
+                raise TruncationError("mismatched truncation policies")
+            if out is None:
+                out = dict(part.terms)
+                continue
+            for m, c in part.terms.items():
+                _accumulate(out, m, c)
+        return Series(trunc, out or {}, _clean=True)
+
     def add(self, other: "Series") -> "Series":
-        self._check_policy(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return Series(self.trunc, out, _clean=True)
+        return Series.sum(self.trunc, (self, other))
 
     def neg(self) -> "Series":
         return Series(self.trunc, {m: -c for m, c in self.terms.items()}, _clean=True)

@@ -4,7 +4,7 @@ Orientation notes for the expansion letters (see series module):
 
 * in ``b_omega`` and everything derived from it, the stored ``z`` exponent e
   encodes z^{-e} (only inverse powers occur);
-* in ``q_omega`` / ``q_b`` / ``q_u``, the stored ``x``/``y`` exponents are the
+* in ``q_omega`` / ``q_u``, the stored ``x``/``y`` exponents are the
   plain non-negative powers of the defining expansion;
 * in ``phi``, the stored ``z`` exponent is the plain positive power (the
   polynomial lives in u and z and is converted to q-variables downstream).
@@ -49,7 +49,6 @@ __all__ = [
     "q_omega",
     "q_omega_nested",
     "q_omega_division",
-    "q_b",
     "q_u",
     "divide_x_plus_y",
     "phi",
@@ -263,13 +262,9 @@ def q_omega(trunc: Truncation) -> Series:
     return nested
 
 
-def q_b(trunc: Truncation) -> Series:
-    """Kernel at the single-lambda coupling values (pure x, y series)."""
-    return q_omega(trunc).substitute(single_lambda_rule(trunc, u_per_weight=0))
-
-
 def q_u(trunc: Truncation) -> Series:
-    """Kernel at couplings scaled by u^{2(2l-1)}; checked against the u-rescaled q_b.
+    """Kernel at couplings scaled by u^{2(2l-1)}; checked against the kernel at
+    the single-lambda values (u = 1) rescaled by x -> u^2 x, y -> u^2 y and u^2.
 
     The kernel is enumerated once, in u_wide(trunc), which holds every coupling
     that reaches the u window, and both routes are instantiated from it.

@@ -268,15 +268,15 @@ def raised_odd_case(n: int, alpha: int, bundle: VirasoroBundle) -> Case:
         raise ValueError("need max_var_index >= 2n+1")
     start = Series.of_var(trunc, q_var(2 * n + 1, alpha))
     lhs = bundle.x_plus.exp_apply(start)
-    rhs = Series.zero(trunc)
-    for i in range(0, n + 1):
-        piece = phi_tilde(n - i, alpha, trunc)
-        if 2 * i:
-            piece = piece.mul_monomial(Monomial.build((), {PARAM_U: 2 * i}), c_const(i))
-        else:
-            piece = piece.scale(c_const(i))
-        rhs = rhs.add(piece)
-    rhs = rhs.scale(Fraction(1, odd_double_factorial(n)))
+    rhs = Series.sum(
+        trunc,
+        (
+            phi_tilde(n - i, alpha, trunc).mul_monomial(
+                Monomial.build((), {PARAM_U: 2 * i}), c_const(i)
+            )
+            for i in range(0, n + 1)
+        ),
+    ).scale(Fraction(1, odd_double_factorial(n)))
     return f"raise q[{2*n+1},{alpha}]", lhs, rhs
 
 

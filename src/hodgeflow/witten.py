@@ -101,24 +101,26 @@ def intersection(g: int, ks: tuple[int, ...] | list[int]) -> Fraction:
         new = rest[:j] + rest[j + 1 :] + (d + k - 1,)
         total += Fraction(_dfac(d + k - 1), _dfac(d - 1)) * intersection(g, new)
     # boundary terms: one handle less, or a stable split
-    for a in range(0, k - 1):
-        b = k - 2 - a
-        w = Fraction(_dfac(a) * _dfac(b), 2)
-        if g >= 1:
+    if g >= 1:
+        for a in range(0, k - 1):
+            b = k - 2 - a
+            w = Fraction(_dfac(a) * _dfac(b), 2)
             total += w * intersection(g - 1, rest + (a, b))
-        for g1 in range(0, g + 1):
-            g2 = g - g1
-            for left, right, ways in _sub_multisets(rest):
-                if 2 * g1 - 2 + len(left) + 1 <= 0:
-                    continue
-                if 2 * g2 - 2 + len(right) + 1 <= 0:
-                    continue
-                total += (
-                    w
-                    * ways
-                    * intersection(g1, left + (a,))
-                    * intersection(g2, right + (b,))
-                )
+    # the left factor's dimension shell fixes a, and then the right factor is
+    # on its shell too; 0 <= a <= k-2 also keeps both factors stable, so every
+    # other split contributes nothing
+    splits = list(_sub_multisets(rest))
+    for g1 in range(0, g + 1):
+        for left, right, ways in splits:
+            a = 3 * g1 - 2 + len(left) - sum(left)
+            if not 0 <= a <= k - 2:
+                continue
+            left_value = intersection(g1, left + (a,))
+            if not left_value:
+                continue
+            b = k - 2 - a
+            w = Fraction(_dfac(a) * _dfac(b), 2)
+            total += w * ways * left_value * intersection(g - g1, right + (b,))
     # central constant of the dilaton-sector equation
     if k == 1 and not rest and g == 1:
         total += Fraction(1, 8)
@@ -180,26 +182,24 @@ def z_point(
         f_g = genus_potential(g, trunc)
         if f_g.is_zero():
             continue
-        expo: dict[int, Series] = {}
+        powers: dict[int, list[Series]] = {}
         power = Series.one(trunc)  # F_g^k / k!, incrementally
         k = 0
         while not power.is_zero():
-            e = k * (g - 1)
-            expo[e] = expo.get(e, Series.zero(trunc)).add(power)
+            powers.setdefault(k * (g - 1), []).append(power)
             k += 1
             if k > trunc.max_t_degree + 1:
                 break
             power = power.mul(f_g).scale(Fraction(1, k))
-        merged: dict[int, Series] = {}
+        expo = {e: Series.sum(trunc, parts) for e, parts in powers.items()}
+        merged: dict[int, list[Series]] = {}
         for e1, s1 in strata.items():
             for e2, s2 in expo.items():
                 prod = s1.mul(s2)
-                if prod.is_zero():
-                    continue
-                e = e1 + e2
-                merged[e] = merged.get(e, Series.zero(trunc)).add(prod)
-        strata = merged
-    out = Series.zero(trunc)
+                if not prod.is_zero():
+                    merged.setdefault(e1 + e2, []).append(prod)
+        strata = {e: Series.sum(trunc, parts) for e, parts in merged.items()}
+    shifted = []
     for e, s in strata.items():
         if s.is_zero():
             continue
@@ -208,7 +208,5 @@ def z_point(
             raise ValueError(
                 "hbar offset too small for the window: raise offset or shrink degree"
             )
-        out = out.add(
-            s.mul_monomial(Monomial.build((), {PARAM_HBAR: stored}))
-        )
-    return out
+        shifted.append(s.mul_monomial(Monomial.build((), {PARAM_HBAR: stored})))
+    return Series.sum(trunc, shifted)

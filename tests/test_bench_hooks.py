@@ -62,3 +62,25 @@ def test_tracer_depth_probe_resolves():
     # Tracer.install wraps Operator.commutator to count ad-steps, outside LAYERS
     assert callable(hf.operators.Operator.commutator)
     inspect.signature(hf.operators.Operator.commutator).bind(None, None)
+
+
+def test_intersection_recurses_through_the_module_name(monkeypatch):
+    # the tracer counts witten.intersection.calls by patching the module name,
+    # so the recursion must call back through it rather than a local binding
+    original = hf.witten.intersection
+    calls = {"all": 0, "top": 0, "depth": 0}
+
+    def counting(*args):
+        calls["all"] += 1
+        calls["top"] += calls["depth"] == 0
+        calls["depth"] += 1
+        try:
+            return original(*args)
+        finally:
+            calls["depth"] -= 1
+
+    monkeypatch.setattr(hf.witten, "intersection", counting)
+    monkeypatch.setattr(hf.witten, "_MEMO", {})
+    hf.witten.genus_potential(2, hf.Truncation(4, 7, 0, 0, 0))
+    assert calls["top"] > 0
+    assert calls["all"] > calls["top"]

@@ -724,3 +724,30 @@ def test_sum_is_the_left_fold_of_add(ops):
     assert all(total.atoms.values())
     # the constructor accumulates the same atoms through its own path
     assert total == Operator(item for op in ops for item in op.atoms.items())
+
+
+def test_substitute_params_images_each_coupling_monomial_once(monkeypatch):
+    # six atoms over two coupling monomials: two images, each scaled per atom
+    couplings = [{omega_param(1): 1}, {omega_param(1): 1, PARAM_HBAR: 1}]
+    op = Operator.sum(
+        Operator.atom(c, couplings[c % 2], [t_var(c)], [t_var(c + 1)])
+        for c in range(1, 7)
+    )
+    trunc = Truncation(3, 8, 6, 2, 4)
+    rule = {omega_param(1): Series.of_param(trunc, PARAM_U, 2, Fraction(-1, 12)).add(
+        Series.of_param(trunc, PARAM_U, 1)
+    )}
+    want: dict = {}
+    for (params, mult, deriv), c in op.atoms.items():
+        carrier = Series.of_monomial(trunc, Monomial((), params), c)
+        for m, cc in carrier.substitute(rule).terms.items():
+            want[m.params, mult, deriv] = want.get((m.params, mult, deriv), 0) + cc
+    calls = []
+    original = Series.substitute
+    monkeypatch.setattr(
+        Series, "substitute", lambda self, r: calls.append(1) or original(self, r)
+    )
+    got = op.substitute_params(rule, trunc)
+    assert len(calls) == 2
+    assert got == Operator(want)
+    assert len(got.atoms) == 12

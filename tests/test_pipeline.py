@@ -269,6 +269,79 @@ def test_log_coefficient_recovers_plain_potential():
     assert got0 == 0  # true hbar^0 has no such connected term
 
 
+def _log_coefficient_full_power_loop(stored, offset, target):
+    """log_true_coefficient with the powers of every stored term (the reference)."""
+    trunc0 = stored.trunc
+    k_max = trunc0.max_t_degree
+    target_h = target.grade()[2]
+    big = trunc0.replace(
+        max_hbar_degree=trunc0.max_hbar_degree + k_max * max(offset, 1) + target_h
+    )
+    x = stored.truncated(big).sub(
+        Series.of_monomial(big, Monomial.build((), {PARAM_HBAR: offset} if offset else ()))
+    )
+    base_params = [(p, e) for p, e in target.params if p.kind != "hbar"]
+    total = Fraction(0)
+    power = Series.one(big)
+    for k in range(1, k_max + 1):
+        power = power.mul(x)
+        if power.is_zero():
+            break
+        h = target_h + k * offset
+        probe = Monomial.build(
+            dict(target.vars), dict(base_params) | ({PARAM_HBAR: h} if h else {})
+        )
+        total += Fraction((-1) ** (k + 1), k) * power.coefficient(probe)
+    return total
+
+
+def _log_monomial(exps):
+    # t[0], t[1], hbar, u
+    e0, e1, h, u = exps
+    return Monomial.build({t_var(0): e0, t_var(1): e1}, {PARAM_HBAR: h, PARAM_U: u})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trunc=st.builds(
+        Truncation,
+        st.integers(2, 5),
+        st.integers(0, 1),
+        st.integers(0, 2),
+        st.integers(1, 4),
+        st.just(0),
+    ),
+    terms=st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 1)] * 2, st.integers(0, 2), st.integers(0, 1)),
+            st.integers(-3, 3).filter(bool),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    offset=st.integers(0, 2),
+    with_unit=st.booleans(),
+    picks=st.lists(st.integers(0, 11), max_size=3),
+    drawn=st.tuples(*[st.integers(0, 3)] * 2, st.integers(0, 6), st.integers(0, 3)),
+)
+def test_log_coefficient_matches_the_full_power_loop(
+    trunc, terms, offset, with_unit, picks, drawn
+):
+    stored = Series(trunc, [(_log_monomial(e), Fraction(c)) for e, c in terms])
+    if with_unit:
+        stored = stored.add(Series.of_param(trunc, PARAM_HBAR, offset))
+    if picks:
+        # a product of stored monomials read at its true hbar exponent, so
+        # the power loop has something to find; else the drawn target, which
+        # may leave the window in any grade
+        exps = [sum(terms[i % len(terms)][0][j] for i in picks) for j in range(4)]
+        exps[2] = max(exps[2] - len(picks) * offset, 0)
+        drawn = tuple(exps)
+    target = _log_monomial(drawn)
+    want = _log_coefficient_full_power_loop(stored, offset, target)
+    assert log_true_coefficient(stored, offset, target) == want
+
+
 def test_log_coefficient_check_only_where_it_can_hold():
     # the theorem suite rejects the window or reports no FAIL; the log check
     # is emitted exactly where its window precondition holds

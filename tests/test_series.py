@@ -41,6 +41,29 @@ def test_add_like_terms():
     assert a.add(b) == u_pow(2, Fraction(5, 6))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 10**6), max_size=5), cancel=st.booleans())
+def test_sum_is_the_left_fold_of_add(seeds, cancel):
+    parts = [random_series(seed, TR, 4, max_hbar=2, max_u=2) for seed in seeds]
+    if cancel and parts:
+        parts.append(parts[0].neg())
+    fold = Series.zero(TR)
+    for part in parts:
+        fold = fold.add(part)
+    total = Series.sum(TR, iter(parts))
+    assert total == fold
+    assert all(total.terms.values())
+    assert total == Series(TR, (item for part in parts for item in part.terms.items()))
+
+
+def test_sum_rejects_a_foreign_policy():
+    other = Truncation(3, 8, 0, 2, 4)
+    with pytest.raises(TruncationError):
+        Series.sum(TR, [Series.one(TR), Series.one(other)])
+    with pytest.raises(TruncationError):
+        Series.sum(TR, [Series.one(other)])
+
+
 def test_add_respects_u_window():
     narrow = Truncation(3, 8, 0, 2, 4)
     t1 = Series.of_var(narrow, t_var(1))

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgeflow import witten
 from hodgeflow.series import Monomial, PARAM_HBAR, Truncation, t_var
 from hodgeflow.witten import (
+    _dfac,
+    _insertion_multisets,
+    _sub_multisets,
     correlator_dimension_ok,
     default_hbar_offset,
     genus_potential,
@@ -188,3 +192,62 @@ def test_intersection_rejects_bad_keys():
         intersection(-1, (0,))
     with pytest.raises(ValueError):
         intersection(0, (-2, 0))
+
+
+def _full_split_intersection(g, ks, memo):
+    """The recursion with the full split loop: every a, every genus, every
+    sub-multiset, off-shell factors included (the reference)."""
+    ks = tuple(sorted(ks))
+    n = len(ks)
+    if 2 * g - 2 + n <= 0 or not correlator_dimension_ok(g, ks):
+        return Fraction(0)
+    if (g, ks) in memo:
+        return memo[g, ks]
+    if g == 0 and ks == (0, 0, 0):
+        return Fraction(1)
+    k, rest = ks[-1], ks[:-1]
+    if k == 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        new = rest[:j] + rest[j + 1 :] + (d + k - 1,)
+        total += Fraction(_dfac(d + k - 1), _dfac(d - 1)) * _full_split_intersection(
+            g, new, memo
+        )
+    for a in range(0, k - 1):
+        b = k - 2 - a
+        w = Fraction(_dfac(a) * _dfac(b), 2)
+        if g >= 1:
+            total += w * _full_split_intersection(g - 1, rest + (a, b), memo)
+        for g1 in range(0, g + 1):
+            g2 = g - g1
+            for left, right, ways in _sub_multisets(rest):
+                if 2 * g1 - 2 + len(left) + 1 <= 0:
+                    continue
+                if 2 * g2 - 2 + len(right) + 1 <= 0:
+                    continue
+                total += (
+                    w
+                    * ways
+                    * _full_split_intersection(g1, left + (a,), memo)
+                    * _full_split_intersection(g2, right + (b,), memo)
+                )
+    if k == 1 and not rest and g == 1:
+        total += Fraction(1, 8)
+    memo[g, ks] = total / _dfac(k)
+    return memo[g, ks]
+
+
+def test_on_shell_splits_match_the_full_split_loop(monkeypatch):
+    monkeypatch.setattr(witten, "_MEMO", {})
+    memo = {}
+    checked = 0
+    for g in range(0, 4):
+        for n in range(1, 6):
+            want = 3 * g - 3 + n
+            if want < 0:
+                continue
+            for ks in _insertion_multisets(n, want, want):
+                assert intersection(g, ks) == _full_split_intersection(g, ks, memo), (g, ks)
+                checked += 1
+    assert checked == 140
