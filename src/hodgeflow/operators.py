@@ -36,6 +36,7 @@ from .series import (
     _merge_exps,
     _pack,
     basis_monomials,
+    exp_terms,
 )
 
 __all__ = [
@@ -193,9 +194,6 @@ class Operator:
             return NotImplemented
         return self.atoms == other.atoms
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as a key
-        return hash(frozenset(self.atoms.items()))
-
     # -- composition and brackets ----------------------------------------------
 
     def compose(self, other: "Operator") -> "Operator":
@@ -336,17 +334,8 @@ class Operator:
             * (trunc.max_var_index * trunc.max_t_degree + 2)
             + 8
         )
-        out = s
-        term = s
-        k = 0
-        while True:
-            k += 1
-            if k > step_bound:
-                raise GradingError("exp_apply exceeded its termination bound")
-            term = self.apply(term).scale(Fraction(1, k))
-            if term.is_zero():
-                return out
-            out = out.add(term)
+        error = GradingError("exp_apply exceeded its termination bound")
+        return Series.sum(trunc, exp_terms(s, self.apply, step_bound, error))
 
     # -- window pruning -------------------------------------------------------
 
@@ -528,26 +517,24 @@ def exp_basis_cases(
         yield f"{tag} . {mono.render()}", lhs, rhs
 
 
-def zassenhaus_tail(
-    x_op: Operator, y_op: Operator, trunc: Truncation, max_depth: int = 64
-) -> Operator:
+# zassenhaus_tail's depth bound; the towers of the windows checked die far sooner
+ZASSENHAUS_MAX_DEPTH = 64
+
+
+def zassenhaus_tail(x_op: Operator, y_op: Operator, trunc: Truncation) -> Operator:
     """Sum_{n>=1} (-1)^{n-1}/n! ad_x^{n-1} y, pruned to the window.
 
     Valid as the right exponent of exp(x + y) = exp(x) exp(tail) whenever the
-    pair satisfies [x, y]-stability with abelian y-class.
+    pair satisfies [x, y]-stability with abelian y-class.  The j-th term of the
+    tower (-ad_x)^j y / j! enters divided by j + 1.
     """
-    tail: dict[AtomKey, Fraction] = {}
-    term = y_op.truncate(trunc)
-    n = 1
-    while not term.is_zero():
-        if n > max_depth:
-            raise GradingError("ad-tower did not die out within the window")
-        factor = Fraction((-1) ** (n - 1), math.factorial(n))
-        for key, c in term.atoms.items():
-            _accumulate(tail, key, c * factor)
-        term = x_op.commutator(term).truncate(trunc)
-        n += 1
-    return Operator(tail, _clean=True)
+    tower = exp_terms(
+        y_op.truncate(trunc),
+        lambda term: term.commutator(x_op).truncate(trunc),
+        ZASSENHAUS_MAX_DEPTH,
+        GradingError("ad-tower did not die out within the window"),
+    )
+    return Operator.sum(term.scale(Fraction(1, j + 1)) for j, term in enumerate(tower))
 
 
 def verify_zassenhaus_factorization(
@@ -555,9 +542,7 @@ def verify_zassenhaus_factorization(
     y_op: Operator,
     trunc: Truncation,
     variables: Iterable[VarId],
-    identity: str = "zassenhaus-special",
     pairing: str = "-",
-    max_degree: int | None = None,
 ) -> Report:
     """Check exp(x+y) = exp(x) exp(tail) on every basis monomial in the window.
 
@@ -572,7 +557,6 @@ def verify_zassenhaus_factorization(
     if not (bracket.is_zero() or bracket.is_pure_derivative(max_order=2)):
         raise OperatorClassError("[x, y] left the abelian class")
 
-    degree = trunc.max_t_degree if max_degree is None else max_degree
     orders = [("exp(...)", [x_op, zassenhaus_tail(x_op, y_op, trunc)])]
-    cases = exp_basis_cases(x_op.add(y_op), orders, trunc, variables, degree)
-    return check(identity, pairing, trunc, cases)
+    cases = exp_basis_cases(x_op.add(y_op), orders, trunc, variables, trunc.max_t_degree)
+    return check("zassenhaus-special", pairing, trunc, cases)

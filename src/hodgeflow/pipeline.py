@@ -181,12 +181,11 @@ def bridge_cases(
     n_max: int,
     seed: int,
     random_count: int = 10,
-    random_degree: int = 2,
 ) -> Iterator[Case]:
     """{exp(shift_u) exp(p_u) . G}|_full  =  exp(X+) . {G}|_u_zero.
 
-    Driven on every coordinate t[n,a] for n <= n_max and on seeded random G.
-    Needs max_var_index >= 2 n_max + 1.
+    Driven on every coordinate t[n,a] for n <= n_max and on seeded random G of
+    t-degree <= 2.  Needs max_var_index >= 2 n_max + 1.
     """
     pairing, trunc = ctx.pairing, ctx.trunc
     if 2 * n_max + 1 > trunc.max_var_index:
@@ -195,9 +194,7 @@ def bridge_cases(
     pool = [
         t_var(i, a) for i in range(max_random_index + 1) for a in pairing.colors()
     ]
-    random_trunc = trunc.replace(
-        max_t_degree=min(random_degree, trunc.max_t_degree)
-    )
+    random_trunc = trunc.replace(max_t_degree=min(2, trunc.max_t_degree))
 
     def inputs():
         for n in range(0, n_max + 1):
@@ -224,11 +221,10 @@ def verify_substitution_bridge(
     n_max: int,
     seed: int = 0,
     random_count: int = 10,
-    random_degree: int = 2,
 ) -> Report:
     """bridge_cases as one report."""
     ctx = Context(pairing, trunc)
-    cases = bridge_cases(ctx, n_max, seed, random_count, random_degree)
+    cases = bridge_cases(ctx, n_max, seed, random_count)
     return check("bridge", pairing.name, trunc, cases)
 
 
@@ -247,15 +243,14 @@ def verify_kernel_match(pairing: Pairing, trunc: Truncation) -> Report:
     return check("kernel-match", pairing.name, trunc, [case])
 
 
-def verify_theta_recoloring(
-    pairing: Pairing, trunc: Truncation, max_power: int = 4
-) -> Report:
-    """Transporting the colored kernel map commutes with coloring the point kernel map."""
+def verify_theta_recoloring(pairing: Pairing, trunc: Truncation) -> Report:
+    """Transporting the colored kernel map commutes with coloring the point kernel
+    map, on x^i y^j for i, j <= 4."""
     pt = point_pairing()
 
     def cases():
-        for i in range(0, max_power + 1):
-            for j in range(0, max_power + 1):
+        for i in range(0, 5):
+            for j in range(0, 5):
                 if 2 * max(i, j) + 1 > trunc.max_var_index:
                     continue
                 xy = Series.of_monomial(

@@ -19,12 +19,13 @@ immutable.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 __all__ = [
     "VarId",
@@ -43,6 +44,7 @@ __all__ = [
     "omega_param",
     "basis_monomials",
     "random_series",
+    "exp_terms",
     "exp_nilpotent",
 ]
 
@@ -211,15 +213,9 @@ class Truncation:
     max_omega_weight: int
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_t_degree",
-            "max_var_index",
-            "max_u_degree",
-            "max_hbar_degree",
-            "max_omega_weight",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for field in dataclasses.fields(self):
+            if getattr(self, field.name) < 0:
+                raise ValueError(f"{field.name} must be >= 0")
 
     def admits(self, m: Monomial) -> bool:
         for v, _ in m.vars:
@@ -234,18 +230,10 @@ class Truncation:
         )
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "max_t_degree": self.max_t_degree,
-            "max_var_index": self.max_var_index,
-            "max_u_degree": self.max_u_degree,
-            "max_hbar_degree": self.max_hbar_degree,
-            "max_omega_weight": self.max_omega_weight,
-        }
+        return dataclasses.asdict(self)
 
     def replace(self, **kw: int) -> "Truncation":
-        d = self.as_dict()
-        d.update(kw)
-        return Truncation(**d)
+        return dataclasses.replace(self, **kw)
 
 
 class Series:
@@ -412,9 +400,6 @@ class Series:
             return NotImplemented
         return self.trunc == other.trunc and self.terms == other.terms
 
-    def __hash__(self) -> int:  # pragma: no cover - Series is not meant as a key
-        return hash(frozenset(self.terms.items()))
-
     def variables(self) -> set[VarId]:
         return {v for m in self.terms for v, _ in m.vars}
 
@@ -479,7 +464,32 @@ class Series:
         return f"Series({self.render()})"
 
 
-def exp_nilpotent(s: Series, max_steps: int = 10_000) -> Series:
+_T = TypeVar("_T")
+
+# exp_nilpotent's step bound; a series the window kills needs far fewer
+EXP_NILPOTENT_MAX_STEPS = 10_000
+
+
+def exp_terms(
+    start: _T, step: Callable[[_T], _T], bound: int, error: Exception
+) -> Iterator[_T]:
+    """step^k(start)/k! for k = 0, 1, ... up to, not including, the first zero term.
+
+    Works on any value with ``scale`` and ``is_zero`` (Series, Operator,
+    ZLaurent).  Raises ``error`` after ``bound`` steps if the last term is
+    still nonzero, that is, when more than ``bound`` steps would be needed.
+    """
+    term = start
+    k = 0
+    while not term.is_zero():
+        yield term
+        k += 1
+        if k > bound:
+            raise error
+        term = step(term).scale(Fraction(1, k))
+
+
+def exp_nilpotent(s: Series) -> Series:
     """exp of a series with no constant term that dies under the window.
 
     Each power is computed under the series' truncation; iteration stops at the
@@ -488,26 +498,15 @@ def exp_nilpotent(s: Series, max_steps: int = 10_000) -> Series:
     """
     if s.coefficient(MONOMIAL_ONE) != 0:
         raise ValueError("exp_nilpotent needs a series without constant term")
-    out = Series.one(s.trunc)
-    term = Series.one(s.trunc)
-    k = 0
-    while True:
-        k += 1
-        if k > max_steps:
-            raise TruncationError("exp did not terminate under the window")
-        term = term.mul(s).scale(Fraction(1, k))
-        if term.is_zero():
-            return out
-        out = out.add(term)
+    error = TruncationError("exp did not terminate under the window")
+    powers = exp_terms(Series.one(s.trunc), s.mul, EXP_NILPOTENT_MAX_STEPS, error)
+    return Series.sum(s.trunc, powers)
 
 
-def basis_monomials(
-    variables: Iterable[VarId], max_degree: int, include_one: bool = True
-) -> Iterator[Monomial]:
+def basis_monomials(variables: Iterable[VarId], max_degree: int) -> Iterator[Monomial]:
     """All monomials of total degree <= max_degree over the given variables."""
     pool = sorted(set(variables))
-    lo = 0 if include_one else 1
-    for d in range(lo, max_degree + 1):
+    for d in range(max_degree + 1):
         for combo in combinations_with_replacement(pool, d):
             counts: dict[VarId, int] = {}
             for v in combo:

@@ -34,6 +34,7 @@ from .series import (
     TruncationError,
     _accumulate,
     exp_nilpotent,
+    exp_terms,
     omega_param,
     q_var,
 )
@@ -437,16 +438,9 @@ def flow_expansion(a: list[Fraction], order: int) -> ZLaurent:
                     _accumulate(out, e - m, c * e * am)
         return ZLaurent(out)
 
-    total = ZLaurent({1: Fraction(1)})
-    term = total
-    k = 0
-    while not term.is_zero():
-        k += 1
-        if k > order + 4:
-            raise CrossCheckError("flow expansion failed to terminate")
-        term = vector_field(term).scale(Fraction(1, k))
-        total = total.add(term)
-    return total.drop_below(floor)
+    error = CrossCheckError("flow expansion failed to terminate")
+    terms = exp_terms(ZLaurent({1: Fraction(1)}), vector_field, order + 4, error)
+    return functools.reduce(ZLaurent.add, terms, ZLaurent()).drop_below(floor)
 
 
 def solve_a_coeffs(count: int) -> list[Fraction]:

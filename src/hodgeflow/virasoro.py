@@ -231,13 +231,12 @@ def delta_map(op_pt: Operator, pairing: Pairing) -> Operator:
     return Operator.sum(atoms)
 
 
-def verify_virasoro_split(bundle: VirasoroBundle, max_degree: int | None = None) -> Report:
+def verify_virasoro_split(bundle: VirasoroBundle) -> Report:
     """exp(sum a_m u^m L_m) = exp(X+) exp((hbar/2) Q+) on the q-monomial basis,
     plus the colored-vs-point compatibility Q+_odd = Delta(Q+^pt_odd)."""
     trunc = bundle.trunc
     pairing = bundle.pairing
     q_half = bundle.q_plus.scale(Fraction(1, 2), {PARAM_HBAR: 1})
-    degree = trunc.max_t_degree if max_degree is None else max_degree
 
     def cases():
         yield from exp_basis_cases(
@@ -245,7 +244,7 @@ def verify_virasoro_split(bundle: VirasoroBundle, max_degree: int | None = None)
             [("split", [bundle.x_plus, q_half])],
             trunc,
             q_variables(pairing, trunc),
-            degree,
+            trunc.max_t_degree,
         )
         pt_bundle = (
             bundle

@@ -6,9 +6,9 @@ loop equation), normalized by <tau_0^3>_0 = 1.  The genus-one constant
 that it is forced by the base normalization is checked in the test suite by
 eliminating it between the recursion and the string equation.
 
-The exponential is assembled genus by genus with an explicit hbar offset so
-the series ring never needs negative exponents: the returned series equals
-hbar^offset * exp(sum_g hbar^{g-1} F_g) inside the window.
+The exponential is taken once, of sum_g hbar^g F_g, with an explicit hbar
+offset so the series ring never needs negative exponents: the returned series
+equals hbar^offset * exp(sum_g hbar^{g-1} F_g) inside the window.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .series import (
     PARAM_HBAR,
     Series,
     Truncation,
+    exp_terms,
     t_var,
 )
 
@@ -173,40 +174,31 @@ def z_point(
     The offset (default max_t_degree // 3) makes every representable term's
     hbar exponent non-negative; anything needing a lower exponent would exceed
     the t-degree window and is provably absent.
+
+    H = sum_g hbar^g F_g is exponentiated once, and its k-th power, divided by
+    hbar^k, is shifted by hbar^(offset - k).  H has no constant term, so H^k
+    vanishes for k > max_t_degree, and a window wider by max_t_degree in hbar
+    holds every term a shift brings back into this window.
     """
     if offset is None:
         offset = default_hbar_offset(trunc)
-    # per-genus exponentials stratified by the true hbar exponent
-    strata: dict[int, Series] = {0: Series.one(trunc)}
-    for g in range(0, genus_max + 1):
-        f_g = genus_potential(g, trunc)
-        if f_g.is_zero():
-            continue
-        powers: dict[int, list[Series]] = {}
-        power = Series.one(trunc)  # F_g^k / k!, incrementally
-        k = 0
-        while not power.is_zero():
-            powers.setdefault(k * (g - 1), []).append(power)
-            k += 1
-            if k > trunc.max_t_degree + 1:
-                break
-            power = power.mul(f_g).scale(Fraction(1, k))
-        expo = {e: Series.sum(trunc, parts) for e, parts in powers.items()}
-        merged: dict[int, list[Series]] = {}
-        for e1, s1 in strata.items():
-            for e2, s2 in expo.items():
-                prod = s1.mul(s2)
-                if not prod.is_zero():
-                    merged.setdefault(e1 + e2, []).append(prod)
-        strata = {e: Series.sum(trunc, parts) for e, parts in merged.items()}
+    wide = trunc.replace(max_hbar_degree=trunc.max_hbar_degree + trunc.max_t_degree)
+    h = Series.sum(
+        wide,
+        (
+            genus_potential(g, wide).mul_monomial(Monomial.build((), {PARAM_HBAR: g}))
+            for g in range(genus_max + 1)
+        ),
+    )
+    error = ValueError("exp of the free energy outlived the t-degree window")
+    powers = exp_terms(Series.one(wide), h.mul, trunc.max_t_degree + 1, error)
     shifted = []
-    for e, s in strata.items():
-        if s.is_zero():
-            continue
-        stored = e + offset
-        if stored < 0:
-            raise ValueError(
-                "hbar offset too small for the window: raise offset or shrink degree"
-            )
-        shifted.append(s.mul_monomial(Monomial.build((), {PARAM_HBAR: stored})))
-    return Series.sum(trunc, shifted)
+    for k, power in enumerate(powers):
+        for m, c in power.terms.items():
+            stored = m.grade()[2] + offset - k
+            if stored < 0:
+                raise ValueError(
+                    "hbar offset too small for the window: raise offset or shrink degree"
+                )
+            shifted.append((Monomial.build(m.vars, {PARAM_HBAR: stored}), c))
+    return Series(trunc, shifted)

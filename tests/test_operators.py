@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hodgeflow import operators
 from hodgeflow.operators import (
     GradingError,
     Operator,
@@ -32,7 +33,7 @@ from hodgeflow.series import (
     random_series,
     t_var,
 )
-from hodgeflow.hodge import build_w_u
+from hodgeflow.hodge import build_w_u, w_omega_parts
 from hodgeflow.virasoro import build_virasoro
 
 TR = Truncation(3, 8, 6, 2, 4)
@@ -544,6 +545,47 @@ def test_zassenhaus_tail_window_consistency_virasoro(wide_bundle, u, hbar, extra
     narrow, wide = _u_hbar_windows(8, u, hbar, extra)
     x, y = wide_bundle.x_plus, wide_bundle.y_plus
     assert zassenhaus_tail(x, y, wide).truncate(narrow) == zassenhaus_tail(x, y, narrow)
+
+
+def _reference_zassenhaus_tail(x_op, y_op, trunc, max_depth=64):
+    """The tail summed by its own loop, each term scaled by (-1)^(n-1)/n! (the
+    reference for the tower summed through exp_terms)."""
+    tail = Operator.zero()
+    term = y_op.truncate(trunc)
+    n = 1
+    while not term.is_zero():
+        if n > max_depth:
+            raise GradingError("ad-tower did not die out within the window")
+        tail = tail.add(term.scale(Fraction((-1) ** (n - 1), math.factorial(n))))
+        term = x_op.commutator(term).truncate(trunc)
+        n += 1
+    return tail
+
+
+def test_zassenhaus_tail_matches_the_reference_loop_on_q_plus(wide_bundle):
+    x, y, trunc = wide_bundle.x_plus, wide_bundle.y_plus, wide_bundle.trunc
+    want = _reference_zassenhaus_tail(x, y, trunc)
+    assert not want.is_zero()
+    assert zassenhaus_tail(x, y, trunc) == want
+
+
+def test_zassenhaus_tail_raises_grading_error_past_its_depth_bound(wide_bundle, monkeypatch):
+    x, y, trunc = wide_bundle.x_plus, wide_bundle.y_plus, wide_bundle.trunc
+    monkeypatch.setattr(operators, "ZASSENHAUS_MAX_DEPTH", 1)
+    with pytest.raises(GradingError):
+        zassenhaus_tail(x, y, trunc)
+
+
+@pytest.mark.parametrize(
+    "pairing", [point_pairing(), hyperbolic2_pairing()], ids=["point", "hyperbolic2"]
+)
+def test_zassenhaus_tail_matches_the_reference_loop_on_the_flow_parts(pairing):
+    trunc = Truncation(3, 8, 6, 2, 4)
+    parts = w_omega_parts(pairing, trunc)
+    for y in (parts.derivative, parts.contraction):
+        want = _reference_zassenhaus_tail(parts.shift, y, trunc)
+        assert not want.is_zero()
+        assert zassenhaus_tail(parts.shift, y, trunc) == want
 
 
 # -- exp_apply of the two flows: a wider window truncated is the narrow one -----

@@ -39,7 +39,7 @@ from hodgeflow.series import (
     random_series,
     t_var,
 )
-from hodgeflow.special import c_const
+from hodgeflow.special import ZLaurent, c_const, flow_expansion
 from hodgeflow.witten import default_hbar_offset, z_point
 
 PT = point_pairing()
@@ -143,6 +143,38 @@ def test_bridge_fails_on_perturbed_coordinate_shift(monkeypatch):
     assert r.cases == 18
     assert len(r.mismatches) == 5
     assert r.mismatches[0] == Mismatch("bridge t[2,0] at u^2", "-1/6", "0")
+
+
+def test_constants_fail_on_a_perturbed_c_const(monkeypatch):
+    monkeypatch.setattr(
+        pipeline, "c_const", lambda i: 2 * c_const(i) if i == 2 else c_const(i)
+    )
+    (report,) = run_suite(VerificationConfig(suites=("constants",)))
+    assert not report.passed
+    assert report.cases == 18
+    assert report.mismatches[0] == Mismatch("C_2", "1/144", "1/288")
+
+
+def test_constants_fail_on_a_flow_expansion_that_drops_a_term(monkeypatch):
+    def dropped(a, order):
+        terms = flow_expansion(a, order).terms
+        return ZLaurent({e: c for e, c in terms.items() if e != -3})
+
+    monkeypatch.setattr(pipeline, "flow_expansion", dropped)
+    (report,) = run_suite(VerificationConfig(suites=("constants",)))
+    assert not report.passed
+    assert [m.monomial for m in report.mismatches] == ["flow round trip (order 10)"]
+
+
+def test_ex_closed_form_fails_on_a_perturbed_c_const(monkeypatch):
+    monkeypatch.setattr(
+        virasoro, "c_const", lambda i: c_const(i) + 1 if i == 1 else c_const(i)
+    )
+    (report,) = run_suite(VerificationConfig(suites=("ex-closed-form",)))
+    assert not report.passed
+    assert report.cases == 4
+    first = Mismatch("raise q[3,0] at u^2 * q[1,0]", "13/12", "25/12")
+    assert report.mismatches[0] == first
 
 
 def test_kernel_match_both_pairings():

@@ -1,5 +1,6 @@
 """Sparse series ring: exactness, truncation, and the substitution homomorphism."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgeflow import series
 from hodgeflow.series import (
+    MONOMIAL_ONE,
     Monomial,
     PARAM_HBAR,
     PARAM_U,
@@ -16,6 +19,7 @@ from hodgeflow.series import (
     Truncation,
     TruncationError,
     exp_nilpotent,
+    exp_terms,
     omega_param,
     q_var,
     random_series,
@@ -88,6 +92,47 @@ def test_mul_degree_window_drops():
 def test_mul_exponential_inverse():
     b = b_omega(TR)
     assert exp_nilpotent(b).mul(exp_nilpotent(b.neg())) == Series.one(TR)
+
+
+class _Unbounded(Exception):
+    pass
+
+
+def test_exp_terms_raises_its_error_after_exactly_bound_steps():
+    steps = []
+
+    def same(s):
+        steps.append(s)
+        return s
+
+    error = _Unbounded("never dies")
+    with pytest.raises(_Unbounded) as caught:
+        list(exp_terms(Series.one(TR), same, 5, error))
+    assert caught.value is error
+    assert len(steps) == 5
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_exp_terms_needs_one_step_past_the_last_nonzero_term(degree):
+    # t^k/k! dies at k = degree + 1, which takes degree + 1 steps
+    trunc = Truncation(degree, 0, 0, 0, 0)
+    t0 = Series.of_var(trunc, t_var(0))
+    terms = list(exp_terms(Series.one(trunc), t0.mul, degree + 1, _Unbounded()))
+    assert terms == [
+        Series.of_monomial(trunc, Monomial.build({t_var(0): k}), Fraction(1, math.factorial(k)))
+        for k in range(degree + 1)
+    ]
+    with pytest.raises(_Unbounded):
+        list(exp_terms(Series.one(trunc), t0.mul, degree, _Unbounded()))
+
+
+def test_exp_nilpotent_raises_truncation_error_past_its_step_bound(monkeypatch):
+    b = b_omega(TR)  # its powers die at the fifth
+    monkeypatch.setattr(series, "EXP_NILPOTENT_MAX_STEPS", 4)
+    with pytest.raises(TruncationError):
+        exp_nilpotent(b)
+    monkeypatch.setattr(series, "EXP_NILPOTENT_MAX_STEPS", 5)
+    assert exp_nilpotent(b).coefficient(MONOMIAL_ONE) == 1
 
 
 def test_policy_mismatch_raises():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeflow import witten
-from hodgeflow.series import Monomial, PARAM_HBAR, Truncation, t_var
+from hodgeflow.series import Monomial, PARAM_HBAR, Series, Truncation, t_var
 from hodgeflow.witten import (
     _dfac,
     _insertion_multisets,
@@ -251,3 +251,63 @@ def test_on_shell_splits_match_the_full_split_loop(monkeypatch):
                 assert intersection(g, ks) == _full_split_intersection(g, ks, memo), (g, ks)
                 checked += 1
     assert checked == 140
+
+
+def _strata_z_point(trunc, genus_max, offset=None):
+    """The z_point of per-genus exponentials merged by true hbar exponent (the
+    reference for the single exponential of sum_g hbar^g F_g)."""
+    if offset is None:
+        offset = default_hbar_offset(trunc)
+    strata = {0: Series.one(trunc)}
+    for g in range(0, genus_max + 1):
+        f_g = genus_potential(g, trunc)
+        if f_g.is_zero():
+            continue
+        powers = {}
+        power = Series.one(trunc)
+        k = 0
+        while not power.is_zero():
+            powers.setdefault(k * (g - 1), []).append(power)
+            k += 1
+            if k > trunc.max_t_degree + 1:
+                break
+            power = power.mul(f_g).scale(Fraction(1, k))
+        expo = {e: Series.sum(trunc, parts) for e, parts in powers.items()}
+        merged = {}
+        for e1, s1 in strata.items():
+            for e2, s2 in expo.items():
+                prod = s1.mul(s2)
+                if not prod.is_zero():
+                    merged.setdefault(e1 + e2, []).append(prod)
+        strata = {e: Series.sum(trunc, parts) for e, parts in merged.items()}
+    shifted = []
+    for e, s in strata.items():
+        if s.is_zero():
+            continue
+        if e + offset < 0:
+            raise ValueError("hbar offset too small for the window")
+        shifted.append(s.mul_monomial(Monomial.build((), {PARAM_HBAR: e + offset})))
+    return Series.sum(trunc, shifted)
+
+
+def _z_point_or_error(build, trunc, genus_max, offset):
+    try:
+        return build(trunc, genus_max, offset)
+    except ValueError:
+        return ValueError
+
+
+def test_z_point_matches_the_per_genus_strata_reference():
+    outcomes = {"equal": 0, "raised": 0}
+    for t_degree in range(0, 6):
+        for index in (3, 5):
+            for hbar in (0, 3):
+                trunc = Truncation(t_degree, index, 0, hbar, 0)
+                for genus_max in range(0, 4):
+                    for offset in (None, 0, 1, 2, 3):
+                        want = _z_point_or_error(_strata_z_point, trunc, genus_max, offset)
+                        got = _z_point_or_error(z_point, trunc, genus_max, offset)
+                        assert got == want, (trunc, genus_max, offset)
+                        outcomes["raised" if want is ValueError else "equal"] += 1
+    assert sum(outcomes.values()) == 480
+    assert outcomes["raised"] and outcomes["equal"]
