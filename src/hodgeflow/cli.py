@@ -13,13 +13,17 @@ from .witten import _insertion_multisets, intersection
 
 
 def _add_window_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pairing", default="point", help="point, hyperbolic2, or a JSON file")
-    p.add_argument("--max-t-degree", type=int, default=3)
-    p.add_argument("--max-index", type=int, default=8)
-    p.add_argument("--max-u-degree", type=int, default=6)
-    p.add_argument("--max-hbar", type=int, default=2)
-    p.add_argument("--max-omega-weight", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--pairing",
+        default=VerificationConfig.pairing_spec,
+        help="point, hyperbolic2, or a JSON file",
+    )
+    p.add_argument("--max-t-degree", type=int, default=VerificationConfig.max_t_degree)
+    p.add_argument("--max-index", type=int, default=VerificationConfig.max_var_index)
+    p.add_argument("--max-u-degree", type=int, default=VerificationConfig.max_u_degree)
+    p.add_argument("--max-hbar", type=int, default=VerificationConfig.max_hbar_degree)
+    p.add_argument("--max-omega-weight", type=int, default=VerificationConfig.max_omega_weight)
+    p.add_argument("--seed", type=int, default=VerificationConfig.seed)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 

@@ -341,22 +341,15 @@ class Operator:
 
     def truncate(self, trunc: Truncation) -> "Operator":
         """Drop atoms that cannot act within the window (sound on the truncated ring)."""
-        out: dict[AtomKey, Fraction] = {}
-        for key, c in self.atoms.items():
-            params, mult, deriv = key
-            _, u, h, w = Monomial((), params).grade()
-            if (
-                u > trunc.max_u_degree
-                or h > trunc.max_hbar_degree
-                or w > trunc.max_omega_weight
-            ):
-                continue
-            if any(v.index > trunc.max_var_index for v, _ in mult):
-                continue
-            if any(v.index > trunc.max_var_index for v, _ in deriv):
-                continue
-            out[key] = c
-        return Operator(out, _clean=True)
+        return Operator(
+            {
+                (params, mult, deriv): c
+                for (params, mult, deriv), c in self.atoms.items()
+                if trunc.admits(Monomial((), params))
+                and all(v.index <= trunc.max_var_index for v, _ in mult + deriv)
+            },
+            _clean=True,
+        )
 
     # -- parameter substitution ---------------------------------------------------
 

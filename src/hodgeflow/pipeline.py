@@ -38,6 +38,7 @@ from .series import (
     Truncation,
     TruncationError,
     _accumulate,
+    _pack,
     basis_monomials,
     q_var,
     random_series,
@@ -122,7 +123,7 @@ def u_zero_substitute(s: Series) -> Series:
                 raise TruncationError("q-index 2k+1 exceeds the window")
             factor *= Fraction(odd_double_factorial(v.index)) ** e
             new_vars.append((q_var(2 * v.index + 1, v.color), e))
-        _accumulate(out, Monomial(tuple(sorted(new_vars)), m.params), c * factor)
+        _accumulate(out, Monomial(_pack(new_vars), m.params), c * factor)
     return Series(trunc, out, _clean=True)
 
 
@@ -172,7 +173,7 @@ def to_q_world(op: Operator, trunc: Truncation) -> Operator:
             factor /= Fraction(odd_double_factorial(v.index)) ** e
             new_deriv.append((q_var(2 * v.index + 1, v.color), e))
         else:
-            _accumulate(out, (params, (), tuple(sorted(new_deriv))), c * factor)
+            _accumulate(out, (params, (), _pack(new_deriv)), c * factor)
     return Operator(out, _clean=True)
 
 

@@ -158,13 +158,17 @@ def _accumulate(out: dict, key: object, c: Fraction) -> None:
 
 
 def _pack(entries: Mapping | Iterable[tuple]) -> tuple:
-    """Canonical sorted ((id, exp), ...) tuple of a multiset; zero entries dropped."""
+    """Canonical sorted ((id, exp), ...) tuple of a multiset; zero entries dropped.
+
+    The one builder of exponent tuples.  Every entry must be non-negative, so
+    no sum can cancel to a stored zero exponent.
+    """
     d: dict = {}
     for k, e in entries.items() if isinstance(entries, Mapping) else entries:
+        if e < 0:
+            raise ValueError("negative exponents are not representable")
         if e:
             d[k] = d.get(k, 0) + e
-    if any(e < 0 for e in d.values()):
-        raise ValueError("negative exponents are not representable")
     return tuple(sorted(d.items()))
 
 
@@ -218,6 +222,7 @@ class Truncation:
                 raise ValueError(f"{field.name} must be >= 0")
 
     def admits(self, m: Monomial) -> bool:
+        """Whether m lies in the window: the one judge of every bound."""
         for v, _ in m.vars:
             if v.index > self.max_var_index:
                 return False
@@ -508,10 +513,7 @@ def basis_monomials(variables: Iterable[VarId], max_degree: int) -> Iterator[Mon
     pool = sorted(set(variables))
     for d in range(max_degree + 1):
         for combo in combinations_with_replacement(pool, d):
-            counts: dict[VarId, int] = {}
-            for v in combo:
-                counts[v] = counts.get(v, 0) + 1
-            yield Monomial.build(counts)
+            yield Monomial.build((v, 1) for v in combo)
 
 
 def random_series(
@@ -543,20 +545,14 @@ def random_series(
         if attempts > 200 * (term_count + 1):
             raise ValueError("window too small for the requested term count")
         deg = rng.randint(0, trunc.max_t_degree)
-        counts: dict[VarId, int] = {}
-        for _ in range(deg):
-            v = rng.choice(pool)
-            counts[v] = counts.get(v, 0) + 1
-        params: dict[ParamId, int] = {}
+        # the draw order (variables, then hbar, then u) fixes the output per seed
+        draws = [(rng.choice(pool), 1) for _ in range(deg)]
+        params = []
         if max_hbar:
-            h = rng.randint(0, max_hbar)
-            if h:
-                params[PARAM_HBAR] = h
+            params.append((PARAM_HBAR, rng.randint(0, max_hbar)))
         if max_u:
-            uu = rng.randint(0, max_u)
-            if uu:
-                params[PARAM_U] = uu
-        m = Monomial.build(counts, params)
+            params.append((PARAM_U, rng.randint(0, max_u)))
+        m = Monomial.build(draws, params)
         if not trunc.admits(m) or m in terms:
             continue
         num = rng.randint(-9, 9)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
@@ -33,6 +34,7 @@ from .series import (
     Truncation,
     TruncationError,
     _accumulate,
+    _pack,
     exp_nilpotent,
     exp_terms,
     omega_param,
@@ -106,17 +108,11 @@ def _r_terms(i: int) -> dict[Monomial, Fraction]:
     """The coefficient map of r_poly(i), built once per i."""
     terms: dict[Monomial, Fraction] = {}
     for parts in _odd_partitions(i):
-        counts: dict[int, int] = {}
-        for w in parts:
-            counts[w] = counts.get(w, 0) + 1
         coeff = Fraction(1)
-        params: dict[ParamId, int] = {}
-        for w, mult in counts.items():
-            l = (w + 1) // 2
+        for mult in Counter(parts).values():
             coeff *= Fraction((-1) ** mult, math.factorial(mult))
-            params[omega_param(l)] = mult
         # each odd partition gives its own coupling monomial
-        terms[Monomial.build((), params)] = coeff
+        terms[Monomial.build((), ((omega_param((w + 1) // 2), 1) for w in parts))] = coeff
     return terms
 
 
@@ -185,10 +181,7 @@ def q_omega_nested(trunc: Truncation) -> Series:
     terms: dict[Monomial, Fraction] = {}
     for ls in _ordered_odd_tuples(trunc.max_omega_weight):
         n = len(ls)
-        params: dict[ParamId, int] = {}
-        for l in ls:
-            p = omega_param(l)
-            params[p] = params.get(p, 0) + 1
+        couplings = [(omega_param(l), 1) for l in ls]
         base = Fraction((-1) ** n, math.factorial(n))
         l1 = ls[0]
         rest = [2 * l - 1 for l in ls[1:]]
@@ -203,12 +196,12 @@ def q_omega_nested(trunc: Truncation) -> Series:
                 xexp = i + prefix[k]
                 yexp = j + (total_rest - prefix[k])
                 c = base * sign * binomial(n - 1, k)
-                m = Monomial.build(
-                    (),
-                    {**params, PARAM_X: xexp, PARAM_Y: yexp},
-                )
+                m = Monomial.build((), couplings + [(PARAM_X, xexp), (PARAM_Y, yexp)])
                 _accumulate(terms, m, c)
     return Series(trunc, terms)
+
+
+_MONOMIAL_Y = Monomial.build((), {PARAM_Y: 1})
 
 
 def divide_x_plus_y(s: Series) -> Series:
@@ -228,17 +221,10 @@ def divide_x_plus_y(s: Series) -> Series:
         if a == 0:
             raise TruncationError("numerator is not divisible by (x + y)")
         c = rem.pop(m)
-        others = dict(m.params)
-        if a == 1:
-            del others[PARAM_X]
-        else:
-            others[PARAM_X] = a - 1
-        qm = Monomial(m.vars, tuple(sorted(others.items())))
+        qm = Monomial(m.vars, _pack({**dict(m.params), PARAM_X: a - 1}))
         _accumulate(quo, qm, c)
         # subtract (x + y) * qm: the x-part cancels m, the y-part feeds back
-        others_y = dict(others)
-        others_y[PARAM_Y] = others_y.get(PARAM_Y, 0) + 1
-        _accumulate(rem, Monomial(m.vars, tuple(sorted(others_y.items()))), -c)
+        _accumulate(rem, qm.mul(_MONOMIAL_Y), -c)
     return Series(s.trunc, quo)
 
 
@@ -404,24 +390,23 @@ def rhs_target(order: int) -> ZLaurent:
     buf = order + 2
     f = [Fraction(2, k + 2) for k in range(buf + 1)]
     g = _inv_sqrt_series(f, buf)
-    out = ZLaurent()
+    out: dict[int, Fraction] = {}
     for j, gj in enumerate(g):
         if gj == 0:
             continue
         p = j - 1  # power of w
         if p == -1:
-            out = out.add(ZLaurent({1: gj, 0: gj}))
+            _accumulate(out, 1, gj)
+            _accumulate(out, 0, gj)
         elif p == 0:
-            out = out.add(ZLaurent({0: gj}))
+            _accumulate(out, 0, gj)
         else:
             # w^p = z^{-p} (1 + 1/z)^{-p} = sum_i (-1)^i C(p+i-1, i) z^{-p-i}
-            terms = {}
             i = 0
             while -p - i >= floor:
-                terms[-p - i] = gj * Fraction((-1) ** i * binomial(p + i - 1, i))
+                _accumulate(out, -p - i, gj * Fraction((-1) ** i * binomial(p + i - 1, i)))
                 i += 1
-            out = out.add(ZLaurent(terms))
-    return out.drop_below(floor)
+    return ZLaurent(out).drop_below(floor)
 
 
 def flow_expansion(a: list[Fraction], order: int) -> ZLaurent:

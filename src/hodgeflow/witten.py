@@ -14,6 +14,7 @@ equals hbar^offset * exp(sum_g hbar^{g-1} F_g) inside the window.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator
@@ -149,12 +150,8 @@ def genus_potential(g: int, trunc: Truncation) -> Series:
             value = intersection(g, ks)
             if not value:
                 continue
-            counts: dict[int, int] = {}
-            for k in ks:
-                counts[k] = counts.get(k, 0) + 1
-            denom = 1
-            for c in counts.values():
-                denom *= math.factorial(c)
+            counts = Counter(ks)
+            denom = math.prod(math.factorial(c) for c in counts.values())
             mono = Monomial.build({t_var(k): e for k, e in counts.items()})
             if trunc.admits(mono):
                 terms[mono] = value / denom

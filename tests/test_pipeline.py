@@ -32,6 +32,8 @@ from hodgeflow.series import (
     Monomial,
     PARAM_HBAR,
     PARAM_U,
+    PARAM_X,
+    PARAM_Y,
     Series,
     Truncation,
     TruncationError,
@@ -175,6 +177,41 @@ def test_ex_closed_form_fails_on_a_perturbed_c_const(monkeypatch):
     assert report.cases == 4
     first = Mismatch("raise q[3,0] at u^2 * q[1,0]", "13/12", "25/12")
     assert report.mismatches[0] == first
+
+
+def test_theorem_fails_on_a_perturbed_double_factorial(monkeypatch):
+    # 3!! read as 4 breaks the u = 0 substitution t[2] -> 3!! q[5]; the log
+    # coefficient is read before that crossing and still passes
+    true = pipeline.odd_double_factorial
+    monkeypatch.setattr(pipeline, "odd_double_factorial", lambda k: 4 if k == 2 else true(k))
+    reports = {r.identity: r for r in run_suite(VerificationConfig(suites=("theorem",)))}
+    failed = {name for name, r in reports.items() if not r.passed}
+    assert failed == {"theorem[point-dvv]", "theorem[random x10]", "kernel-match"}
+    assert reports["theorem[one-point genus-1 log coefficient]"].passed
+    first = Mismatch("kernel at u^6 d/dq[1,0] d/dq[5,0]", "139/103680", "139/77760")
+    assert reports["kernel-match"].mismatches[0] == first
+
+
+def test_theta_recoloring_fails_on_a_one_color_theta_map(monkeypatch):
+    def first_color_theta(b, pairing, trunc):
+        """hodge.theta_map with both derivatives on the first color of each entry."""
+        atoms = []
+        for m, c in b.terms.items():
+            rest = dict(m.params)
+            i, j = rest.pop(PARAM_X, 0), rest.pop(PARAM_Y, 0)
+            if max(i, j) <= trunc.max_var_index:
+                atoms += (
+                    Operator.atom(c * v, params=rest, deriv=[t_var(i, mu), t_var(j, mu)])
+                    for mu, _, v in pairing.inverse_entries()
+                )
+        return Operator.sum(atoms)
+
+    monkeypatch.setattr(pipeline, "theta_map", first_color_theta)
+    r = verify_theta_recoloring(H2, VerificationConfig().truncation())
+    assert not r.passed
+    assert r.cases == 16
+    assert len(r.mismatches) == 5
+    assert r.mismatches[0] == Mismatch("x^0 y^0 at d/dq[1,0] d/dq[1,1]", "0", "2")
 
 
 def test_kernel_match_both_pairings():

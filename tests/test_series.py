@@ -1,5 +1,6 @@
 """Sparse series ring: exactness, truncation, and the substitution homomorphism."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeflow import series
+from hodgeflow import series, special, witten
 from hodgeflow.series import (
     MONOMIAL_ONE,
     Monomial,
@@ -239,6 +240,17 @@ def test_render_canonical():
     assert s.render() == "-1/12 * u^2 * t[2,0]"
 
 
+def test_build_rejects_negative_entries_even_when_they_cancel():
+    with pytest.raises(ValueError):
+        Monomial.build([(t_var(0), 1), (t_var(0), -1)])
+    with pytest.raises(ValueError):
+        Monomial.build((), [(PARAM_U, -2), (PARAM_U, 3)])
+    assert Monomial.build([(t_var(0), 0), (t_var(1), 1), (t_var(1), 1)]) == Monomial.build(
+        {t_var(1): 2}
+    )
+    assert Monomial.build([(t_var(0), 0)], {PARAM_U: 0}) == MONOMIAL_ONE
+
+
 def test_q_var_positivity():
     with pytest.raises(ValueError):
         q_var(0)
@@ -353,3 +365,46 @@ def test_mul_window_consistency(seed, small, extra):
     f = graded_series(rng, big, 15)
     g = graded_series(rng, big, 15)
     assert f.mul(g).truncated(small) == f.truncated(small).mul(g.truncated(small))
+
+
+RANDOM_DRAWS = (
+    # (window, term_count, variables, max_hbar, max_u) as bridge, theorem and
+    # the default window draw them
+    (Truncation(2, 13, 14, 0, 0), 6, [t_var(i, a) for i in range(5) for a in (0, 1)], 0, 2),
+    (Truncation(6, 15, 8, 3, 0), 8, [t_var(i) for i in range(6)], 3, 0),
+    (Truncation(3, 8, 6, 2, 4), 6, None, 2, 4),
+)
+
+
+def _builder_renders():
+    for trunc, count, pool, max_hbar, max_u in RANDOM_DRAWS:
+        for seed in range(40):
+            s = random_series(seed, trunc, count, variables=pool, max_hbar=max_hbar, max_u=max_u)
+            yield "random_series", s.render()
+    pool = [t_var(i, a) for i in range(4) for a in (0, 1)] + [q_var(1), q_var(3)]
+    for m in series.basis_monomials(pool, 3):
+        yield "basis_monomials", m.render()
+    for trunc in (Truncation(6, 12, 0, 0, 0), Truncation(5, 3, 0, 0, 0)):
+        for g in range(4):
+            yield "genus_potential", witten.genus_potential(g, trunc).render()
+    for weight in range(8):
+        yield "q_omega", special.q_omega(Truncation(0, 0, 0, 0, weight)).render()
+    yield "rhs_target", repr(sorted(special.rhs_target(16).terms.items()))
+
+
+# sha256 over each builder's outputs in _builder_renders order, one line each;
+# pinned from the builders before they packed their exponents through _pack
+BUILDER_DIGESTS = {
+    "random_series": "706d5eeef7d05800e66be093faeaf5097a0cb27365eca6f9eacdd0e1db1a7c58",
+    "basis_monomials": "0f3a824d44cc5ce1fe279117a8da5ec4948d7a6252912d80aacfe28bca07b647",
+    "genus_potential": "ca419c8f79c67f1366afd7a52a47f6c3f6a758782fac72ac58e892f5c4eec213",
+    "q_omega": "936d1983dac0ed18483dfe8261ee5e23e82e5966ef99e9a63fee7208b2277d74",
+    "rhs_target": "46fe0a0f776e0b1f30e624f71b6e4f708289e3e9e0c9af5ee6ec4b3dabb20604",
+}
+
+
+def test_builder_outputs_are_pinned():
+    digests = {}
+    for name, text in _builder_renders():
+        digests.setdefault(name, hashlib.sha256()).update(text.encode() + b"\n")
+    assert {name: h.hexdigest() for name, h in digests.items()} == BUILDER_DIGESTS
