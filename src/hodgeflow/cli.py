@@ -3,41 +3,31 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from .pipeline import ALL_SUITES, VerificationConfig, run_suite
 from .special import CrossCheckError, c_const, r_poly, solve_a_coeffs
 from .witten import _insertion_multisets, intersection
 
 
-def _add_window_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--pairing",
-        default=VerificationConfig.pairing_spec,
-        help="point, hyperbolic2, or a JSON file",
-    )
-    p.add_argument("--max-t-degree", type=int, default=VerificationConfig.max_t_degree)
-    p.add_argument("--max-index", type=int, default=VerificationConfig.max_var_index)
-    p.add_argument("--max-u-degree", type=int, default=VerificationConfig.max_u_degree)
-    p.add_argument("--max-hbar", type=int, default=VerificationConfig.max_hbar_degree)
-    p.add_argument("--max-omega-weight", type=int, default=VerificationConfig.max_omega_weight)
-    p.add_argument("--seed", type=int, default=VerificationConfig.seed)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def _suite_list(text: str) -> tuple[str, ...]:
+    return tuple(text.split(",")) if text else ALL_SUITES
 
 
-def _config_from(args: argparse.Namespace, suites: tuple[str, ...]) -> VerificationConfig:
-    return VerificationConfig(
-        pairing_spec=args.pairing,
-        max_t_degree=args.max_t_degree,
-        max_var_index=args.max_index,
-        max_u_degree=args.max_u_degree,
-        max_hbar_degree=args.max_hbar,
-        max_omega_weight=args.max_omega_weight,
-        seed=args.seed,
-        suites=suites,
-    )
+# each option of verify but --format, the VerificationConfig field it sets, its
+# type and its help
+_CONFIG_FLAGS = (
+    ("--pairing", "pairing_spec", str, "point, hyperbolic2, or a JSON file"),
+    ("--max-t-degree", "max_t_degree", int, None),
+    ("--max-index", "max_var_index", int, None),
+    ("--max-u-degree", "max_u_degree", int, None),
+    ("--max-hbar", "max_hbar_degree", int, None),
+    ("--max-omega-weight", "max_omega_weight", int, None),
+    ("--seed", "seed", int, None),
+    ("--suite", "suites", _suite_list, f"comma-separated subset of: {', '.join(ALL_SUITES)}"),
+)
 
 
 def _emit_reports(reports, fmt: str) -> int:
@@ -56,13 +46,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
     a_table = {str(m): str(v) for m, v in enumerate(a, start=1)}
     c_table = {str(i): str(c_const(i)) for i in range(args.count_c + 1)}
     r_table = {str(i): r_poly(i).render() for i in range(args.count_r + 1)}
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "a.json").write_text(json.dumps(a_table, indent=2) + "\n")
-        (out / "c.json").write_text(json.dumps(c_table, indent=2) + "\n")
-        print(f"wrote {out / 'a.json'} and {out / 'c.json'}")
-        return 0
     if args.format == "json":
         print(json.dumps({"a": a_table, "c": c_table, "r": r_table}, indent=2))
     else:
@@ -76,13 +59,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = tuple(args.suite.split(",")) if args.suite else ALL_SUITES
-    try:
-        reports = run_suite(_config_from(args, suites))
-    except ValueError as exc:
-        print(f"configuration rejected: {exc}", file=sys.stderr)
-        return 2
-    return _emit_reports(reports, args.format)
+    fields = dataclasses.fields(VerificationConfig)
+    config = VerificationConfig(**{f.name: getattr(args, f.name) for f in fields})
+    return _emit_reports(run_suite(config), args.format)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -109,20 +88,14 @@ def main(argv: list[str] | None = None) -> int:
     p_const.add_argument("--count-c", type=int, default=8)
     p_const.add_argument("--count-r", type=int, default=5)
     p_const.add_argument("--format", choices=("text", "json"), default="text")
-    p_const.add_argument("--out", help="directory for golden a.json / c.json tables")
     p_const.set_defaults(func=cmd_constants)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    _add_window_args(p_verify)
-    p_verify.add_argument(
-        "--suite",
-        help=f"comma-separated subset of: {', '.join(ALL_SUITES)}",
-    )
+    for flag, field, kind, text in _CONFIG_FLAGS:
+        default = getattr(VerificationConfig, field)
+        p_verify.add_argument(flag, dest=field, type=kind, default=default, help=text)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
-
-    p_thm = sub.add_parser("theorem", help="end-to-end identity only")
-    _add_window_args(p_thm)
-    p_thm.set_defaults(func=cmd_verify, suite="theorem")
 
     p_oracle = sub.add_parser("oracle", help="intersection-number tables as JSON")
     p_oracle.add_argument("--genus-max", type=int, default=2)
@@ -133,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:
+        print(f"configuration rejected: {exc}", file=sys.stderr)
+        return 2
     except CrossCheckError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 3

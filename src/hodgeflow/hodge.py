@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .operators import Case, Operator, check, exp_basis_cases
+from .operators import Case, Operator, check, contraction, exp_basis_cases
 from .pairing import Pairing
 from .report import Report
 from .series import (
@@ -90,14 +90,11 @@ def _d_parts(
         for i in range(trunc.max_var_index + 1)
     )
     derivative = Operator.atom(1, params=params, deriv=[t_var(2 * l, 0)])
-    contraction = Operator.sum(
-        Operator.atom(
-            (-1) ** i * v, params=params, deriv=[t_var(i, mu), t_var(2 * l - 2 - i, nu)]
-        )
+    second = Operator.sum(
+        contraction(pairing, t_var, i, 2 * l - 2 - i, (-1) ** i, params)
         for i in range(2 * l - 1)
-        for mu, nu, v in pairing.inverse_entries()
     )
-    parts = (shift, derivative, contraction)
+    parts = (shift, derivative, second)
     return WOmegaParts(*(part.truncate(trunc) for part in parts))
 
 
@@ -164,7 +161,7 @@ def theta_map(b: Series, pairing: Pairing, trunc: Truncation) -> Operator:
     Non-(x,y) parameters in a term ride along as atom coefficients; variable
     content is rejected.  Target indices beyond the window are dropped.
     """
-    atoms = []
+    parts = []
     for m, c in b.terms.items():
         if m.vars:
             raise ValueError("theta map expects a parameter-only series")
@@ -179,11 +176,8 @@ def theta_map(b: Series, pairing: Pairing, trunc: Truncation) -> Operator:
                 rest.append((p, e))
         if i > trunc.max_var_index or j > trunc.max_var_index:
             continue
-        atoms += (
-            Operator.atom(c * v, params=rest, deriv=[t_var(i, mu), t_var(j, nu)])
-            for mu, nu, v in pairing.inverse_entries()
-        )
-    return Operator.sum(atoms)
+        parts.append(contraction(pairing, t_var, i, j, c, rest))
+    return Operator.sum(parts)
 
 
 def build_p(trunc: Truncation) -> Operator:
@@ -254,8 +248,11 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
         (z g_0 + sum (-z)^n sum_a t[n,a] g_a) . sum_i R_i (-z)^i, compared
         coefficientwise in (z-power, color).
 
-    Needs max_omega_weight >= n_max for the windowed check to be exact.
+    Needs max_omega_weight >= n_max for the windowed check to be exact, and
+    max_t_degree >= 1 (t-degree 0 cuts each start t[n,a] but not -R_{n-1}).
     """
+    if trunc.max_t_degree < 1:
+        raise ValueError("hat-t check needs max_t_degree >= 1")
     parts = w_omega_parts(pairing, trunc)
     p_shift = build_p(trunc)
 

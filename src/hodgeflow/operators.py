@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice, product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
+from .pairing import Pairing
 from .report import Mismatch, Report, MAX_RECORDED_MISMATCHES
 from .series import (
     Monomial,
@@ -41,6 +42,7 @@ from .series import (
 
 __all__ = [
     "Operator",
+    "contraction",
     "GradingError",
     "OperatorClassError",
     "zassenhaus_tail",
@@ -419,6 +421,22 @@ class Operator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator({self.render()})"
+
+
+def contraction(
+    pairing: Pairing,
+    var: Callable[[int, int], VarId],
+    i: int,
+    j: int,
+    coeff: Fraction | int,
+    params: Mapping[ParamId, int] | Iterable[tuple[ParamId, int]] = (),
+) -> Operator:
+    """coeff * params * sum_{mu,nu} eta^{mu nu} d/dvar(i, mu) d/dvar(j, nu): the one
+    place a pair of derivatives is colored through the inverse pairing."""
+    return Operator.sum(
+        Operator.atom(coeff * v, params=params, deriv=[var(i, mu), var(j, nu)])
+        for mu, nu, v in pairing.inverse_entries()
+    )
 
 
 def _render_atom(key: AtomKey, coeff: Fraction | None = None) -> str:

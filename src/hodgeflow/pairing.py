@@ -73,8 +73,20 @@ def hyperbolic2_pairing() -> Pairing:
     return Pairing("hyperbolic2", [[0, 1], [1, 0]])
 
 
+def _exact(entry: object) -> Fraction:
+    """A pairing-file entry: an integer or a rational string; a float, a bool or a
+    zero denominator is rejected, never rounded or coerced."""
+    if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+        raise ValueError(f"eta entry {entry!r} is not an integer or a rational string")
+    try:
+        return Fraction(entry)
+    except ZeroDivisionError:
+        raise ValueError(f"eta entry {entry!r} has a zero denominator") from None
+
+
 def pairing_from_spec(spec: str) -> Pairing:
-    """Resolve "point", "hyperbolic2", or a JSON file {rank, eta: [[rational strings]]}."""
+    """Resolve "point", "hyperbolic2", or a JSON file {rank, eta} whose eta is a
+    list of rows of integers or rational strings."""
     if spec == "point":
         return point_pairing()
     if spec == "hyperbolic2":
@@ -86,10 +98,10 @@ def pairing_from_spec(spec: str) -> Pairing:
         raise ValueError(f"cannot read pairing file {spec}: {exc.strerror}") from exc
     if not isinstance(data, dict) or "eta" not in data:
         raise ValueError('pairing file needs a JSON object with an "eta" matrix')
-    try:
-        pairing = Pairing(data.get("name", spec), data["eta"])
-    except TypeError as exc:
-        raise ValueError(f"eta must be a list of rows of rationals: {exc}") from exc
+    eta = data["eta"]
+    if not isinstance(eta, list) or not all(isinstance(row, list) for row in eta):
+        raise ValueError("eta must be a list of rows of integers or rational strings")
+    pairing = Pairing(data.get("name", spec), [[_exact(x) for x in row] for row in eta])
     if "rank" in data and pairing.rank != data["rank"]:
         raise ValueError("declared rank does not match the eta matrix")
     return pairing

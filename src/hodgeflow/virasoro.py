@@ -23,6 +23,7 @@ from .operators import (
     Operator,
     OperatorClassError,
     check,
+    contraction,
     exp_basis_cases,
     zassenhaus_tail,
 )
@@ -80,9 +81,7 @@ def build_y(m: int, pairing: Pairing, trunc: Truncation) -> Operator:
     if m < 1:
         raise ValueError("m must be >= 1")
     return Operator.sum(
-        Operator.atom(a * (m - a) * v, deriv=[q_var(a, mu), q_var(m - a, nu)])
-        for a in range(1, m)
-        for mu, nu, v in pairing.inverse_entries()
+        contraction(pairing, q_var, a, m - a, a * (m - a)) for a in range(1, m)
     ).truncate(trunc)
 
 
@@ -210,7 +209,7 @@ def delta_map(op_pt: Operator, pairing: Pairing) -> Operator:
 
     d2/dq[m] dq[n] -> sum eta^{mn} d2/dq[m,mu] dq[n,nu], extended linearly.
     """
-    atoms = []
+    parts = []
     for (params, mult, deriv), c in op_pt.atoms.items():
         if mult:
             raise OperatorClassError("delta map expects pure-derivative atoms")
@@ -222,13 +221,8 @@ def delta_map(op_pt: Operator, pairing: Pairing) -> Operator:
         if len(flat) != 2:
             raise OperatorClassError("delta map expects exactly second order")
         va, vb = flat
-        atoms += (
-            Operator.atom(
-                c * v, params=params, deriv=[q_var(va.index, mu), q_var(vb.index, nu)]
-            )
-            for mu, nu, v in pairing.inverse_entries()
-        )
-    return Operator.sum(atoms)
+        parts.append(contraction(pairing, q_var, va.index, vb.index, c, params))
+    return Operator.sum(parts)
 
 
 def verify_virasoro_split(bundle: VirasoroBundle) -> Report:

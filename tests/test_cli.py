@@ -19,13 +19,12 @@ def test_constants_json(capsys):
     assert data["c"]["3"] == "-139/51840"
 
 
-def test_constants_golden_files(tmp_path, capsys):
-    assert main(["constants", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    a = json.loads((tmp_path / "a.json").read_text())
-    c = json.loads((tmp_path / "c.json").read_text())
-    assert a["3"] == "7/540"
-    assert c["0"] == "1"
+def test_constants_rejects_an_empty_a_table(capsys):
+    # every command maps a rejected argument to exit status 2, not a traceback
+    assert main(["constants", "--count-a", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration rejected: count must be >= 1\n"
 
 
 def test_verify_subset_exit_zero(capsys):
@@ -63,8 +62,24 @@ def test_verify_rejects_missing_pairing_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    ['{"rank": 1}', '{"eta": 5}', '{"eta": [[null]]}'],
-    ids=["no-eta", "eta-not-a-matrix", "null-entry"],
+    [
+        '{"rank": 1}',
+        '{"eta": 5}',
+        '{"eta": [[null]]}',
+        '{"eta": [[0.1, 1], [1, 0]]}',
+        '{"eta": ["01", "10"]}',
+        '{"eta": [[true]]}',
+        '{"eta": [["1/0"]]}',
+    ],
+    ids=[
+        "no-eta",
+        "eta-not-a-matrix",
+        "null-entry",
+        "float-entry",
+        "string-rows",
+        "bool-entry",
+        "zero-denominator",
+    ],
 )
 def test_verify_rejects_malformed_pairing_file(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
@@ -88,6 +103,8 @@ def test_oracle_table(capsys):
 def test_theorem_command_small(capsys):
     code = main(
         [
+            "verify",
+            "--suite",
             "theorem",
             "--pairing",
             "hyperbolic2",
@@ -115,7 +132,7 @@ def test_theorem_runs_in_a_window_smaller_than_its_random_inputs(capsys):
     # 8 random terms the suite draws where they fit
     window = ["--max-t-degree", "1", "--max-index", "5", "--max-u-degree", "2"]
     window += ["--max-hbar", "0", "--max-omega-weight", "2"]
-    assert main(["theorem", *window, "--format", "json"]) == 0
+    assert main(["verify", "--suite", "theorem", *window, "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)
     identities = [r["identity"] for r in reports]
     assert identities == ["theorem[point-dvv]", "theorem[random x10]", "kernel-match"]
@@ -145,6 +162,16 @@ def test_verify_with_closed_u_window_rejects_only_raising_suites(capsys):
     assert captured.out == ""
     assert captured.err == (
         "configuration rejected: the raising operators need max_u_degree >= 1\n"
+    )
+
+
+def test_hat_t_rejects_a_window_of_t_degree_0(capsys):
+    # the window would cut every start t[n,a] but keep the closed form's -R_{n-1}
+    assert main(["verify", "--max-t-degree", "0", "--suite", "hat-t"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration rejected: hat-t check needs max_t_degree >= 1\n"
     )
 
 

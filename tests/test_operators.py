@@ -15,6 +15,7 @@ from hodgeflow.operators import (
     Operator,
     OperatorClassError,
     check,
+    contraction,
     exp_basis_cases,
     first_mismatch,
     verify_zassenhaus_factorization,
@@ -68,6 +69,18 @@ def test_apply_is_linear():
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         assert op.apply(f.add(g)) == op.apply(f).add(op.apply(g))
         assert op.apply(f.scale(c)) == op.apply(f).scale(c)
+
+
+def test_contraction_colors_through_the_inverse_pairing():
+    # eta^{01} = eta^{10} = 1 on hyperbolic2: one atom per crossed color pair
+    got = contraction(hyperbolic2_pairing(), q_var, 1, 2, 3, {PARAM_U: 2})
+    want = Operator.sum(
+        Operator.atom(3, params={PARAM_U: 2}, deriv=[q_var(1, mu), q_var(2, 1 - mu)])
+        for mu in (0, 1)
+    )
+    assert got == want
+    same = contraction(point_pairing(), t_var, 2, 2, Fraction(-1, 2))
+    assert same == Operator.atom(Fraction(-1, 2), deriv=[t_var(2), t_var(2)])
 
 
 def test_commutator_canonical_pair():

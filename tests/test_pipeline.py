@@ -13,6 +13,7 @@ from hodgeflow import hodge, operators, pipeline, special, virasoro
 from hodgeflow.hodge import build_w_u
 from hodgeflow.pairing import hyperbolic2_pairing, pairing_from_spec, point_pairing
 from hodgeflow.pipeline import (
+    ALL_SUITES,
     Context,
     VerificationConfig,
     change_vars,
@@ -440,6 +441,22 @@ def test_run_suite_smoke():
     reports = run_suite(cfg)
     assert len(reports) == 3
     assert all(r.passed for r in reports)
+
+
+def test_no_small_window_fails():
+    # a correct program passes every check it accepts: each suite on each
+    # pairing either passes or rejects the window with ValueError
+    failed = []
+    windows = itertools.product((0, 1), (2, 5), (0, 3), (0, 1), (0, 3))
+    for spec, window, suite in itertools.product(
+        ("point", "hyperbolic2"), windows, ALL_SUITES
+    ):
+        try:
+            reports = run_suite(VerificationConfig(spec, *window, suites=(suite,)))
+        except ValueError:
+            continue
+        failed += [(spec, window, r.identity) for r in reports if not r.passed]
+    assert failed == []
 
 
 @pytest.mark.parametrize("spec, towers", [("point", 1), ("hyperbolic2", 2)])
