@@ -16,6 +16,10 @@ whole series.  Either way the sum is finite whenever every atom strictly
 increases a windowed parameter weight or strictly decreases variable degree
 or index-sum.  That witness is checked up front; operators violating it are
 rejected rather than iterated.
+
+``apply`` sums on integer numerators: the atoms share one denominator d_op
+and the input is scaled by the lcm d_s of its denominators, so each output
+monomial gets one Fraction over d_s * d_op.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def _contractions(
 
 
 class Operator:
-    # operators are immutable, so the index ``apply`` builds is cached per operator
+    # operators are immutable, so what ``apply`` builds is cached per operator
     __slots__ = ("atoms", "_apply_index")
 
     def __init__(
@@ -118,7 +122,7 @@ class Operator:
         atoms: Mapping[AtomKey, Fraction] | Iterable[tuple[AtomKey, Fraction]] = (),
         _clean: bool = False,
     ) -> None:
-        self._apply_index: dict[VarId | None, list] | None = None
+        self._apply_index: tuple[int, dict[VarId | None, list]] | None = None
         if _clean:
             self.atoms: dict[AtomKey, Fraction] = dict(atoms)
             return
@@ -221,33 +225,38 @@ class Operator:
 
     # -- action on series ---------------------------------------------------------
 
-    def _index(self) -> dict[VarId | None, list]:
-        """Atoms grouped by their first derivative variable (None: no derivative).
+    def _index(self) -> tuple[int, dict[VarId | None, list]]:
+        """The atoms' common denominator d_op, and the atoms grouped by their
+        first derivative variable (None: no derivative).
 
         An atom can act on a monomial only if the monomial contains that
         variable, so ``apply`` visits the None group and the groups of the
         monomial's variables, each atom exactly once.  Each entry carries the
-        u, hbar and omega grades the atom adds.
+        u, hbar and omega grades the atom adds and its integer numerator
+        c * d_op.
         """
-        index = self._apply_index
-        if index is None:
-            index = {}
+        if self._apply_index is None:
+            d_op = math.lcm(*(c.denominator for c in self.atoms.values()))
+            index: dict[VarId | None, list] = {}
             for (params, mult, deriv), c in self.atoms.items():
                 gain = Monomial(mult, params)
                 _, u, h, w = gain.grade()
+                num = c.numerator * (d_op // c.denominator)
                 index.setdefault(deriv[0][0] if deriv else None, []).append(
-                    (u, h, w, deriv, dict(deriv), gain, c)
+                    (u, h, w, deriv, dict(deriv), gain, num)
                 )
-            self._apply_index = index
-        return index
+            self._apply_index = d_op, index
+        return self._apply_index
 
     def apply(self, s: Series) -> Series:
         trunc = s.trunc
         admits = trunc.admits
-        index = self._index()
+        d_op, index = self._index()
         free = index.get(None)
-        out: dict[Monomial, Fraction] = {}
+        d_s = math.lcm(*(c.denominator for c in s.terms.values()))
+        out: dict[Monomial, int] = {}
         for mono, coeff in s.terms.items():
+            num = coeff.numerator * (d_s // coeff.denominator)
             var_d = dict(mono.vars)
             _, mu, mh, mw = mono.grade()
             lu = trunc.max_u_degree - mu
@@ -257,7 +266,7 @@ class Operator:
             if free:
                 groups.append(free)
             for group in groups:
-                for u, h, w, deriv, deriv_d, gain, acoeff in group:
+                for u, h, w, deriv, deriv_d, gain, anum in group:
                     if u > lu or h > lh or w > lw:
                         continue
                     weight = 1
@@ -276,15 +285,12 @@ class Operator:
                             new_mono = Monomial(tuple(rest), mono.params).mul(gain)
                         else:
                             new_mono = mono.mul(gain)
-                        if not admits(new_mono):
-                            continue
-                        factor = coeff * acoeff
-                        if weight != 1:
-                            factor *= weight
-                        _accumulate(out, new_mono, factor)
-        return Series(trunc, out, _clean=True)
+                        if admits(new_mono):
+                            _accumulate(out, new_mono, num * anum * weight)
+        den = d_s * d_op
+        return Series(trunc, {m: Fraction(n, den) for m, n in out.items()}, _clean=True)
 
-    def _check_termination(self, trunc: Truncation) -> None:
+    def _check_termination(self) -> None:
         for (params, mult, deriv) in self.atoms:
             _, u, h, w = Monomial((), params).grade()
             if u + h + w >= 1:
@@ -317,7 +323,7 @@ class Operator:
         if self.is_zero():
             return s
         trunc = s.trunc
-        self._check_termination(trunc)
+        self._check_termination()
         if not self.is_window_derivation(trunc):
             return self._exp_iterate(s)
         return s.substitute(

@@ -102,6 +102,9 @@ def pairing_from_spec(spec: str) -> Pairing:
     if not isinstance(eta, list) or not all(isinstance(row, list) for row in eta):
         raise ValueError("eta must be a list of rows of integers or rational strings")
     pairing = Pairing(data.get("name", spec), [[_exact(x) for x in row] for row in eta])
-    if "rank" in data and pairing.rank != data["rank"]:
+    rank = data.get("rank", pairing.rank)
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise ValueError(f"declared rank {rank!r} is not an integer")
+    if rank != pairing.rank:
         raise ValueError("declared rank does not match the eta matrix")
     return pairing

@@ -144,7 +144,7 @@ class Monomial(NamedTuple):
 MONOMIAL_ONE = Monomial((), ())
 
 
-def _accumulate(out: dict, key: object, c: Fraction) -> None:
+def _accumulate(out: dict, key: object, c: Fraction | int) -> None:
     """out[key] += c, deleting the key when the sum cancels to zero."""
     acc = out.get(key)
     if acc is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from typing import Iterator
 
 from .rationals import odd_double_factorial
@@ -187,8 +187,22 @@ def z_point(
             for g in range(genus_max + 1)
         ),
     )
+    # a term of H^k is stored at hbar^(e + offset - k); a later genus-0 factor
+    # lowers that by 1 at a t-degree cost >= 3 and no other factor lowers it, so
+    # a term no later factor can bring back into the window is dropped early
+    ks = count(1)
+
+    def step(power: Series) -> Series:
+        k = next(ks)
+        kept = {}
+        for m, c in h.mul(power).terms.items():
+            d, _, e, _ = m.grade()
+            if e + offset - k - (trunc.max_t_degree - d) // 3 <= trunc.max_hbar_degree:
+                kept[m] = c
+        return Series(wide, kept, _clean=True)
+
     error = ValueError("exp of the free energy outlived the t-degree window")
-    powers = exp_terms(Series.one(wide), h.mul, trunc.max_t_degree + 1, error)
+    powers = exp_terms(Series.one(wide), step, trunc.max_t_degree + 1, error)
     shifted = []
     for k, power in enumerate(powers):
         for m, c in power.terms.items():

@@ -70,6 +70,8 @@ def test_verify_rejects_missing_pairing_file(tmp_path, capsys):
         '{"eta": ["01", "10"]}',
         '{"eta": [[true]]}',
         '{"eta": [["1/0"]]}',
+        '{"rank": true, "eta": [["1"]]}',
+        '{"rank": 1.0, "eta": [["1"]]}',
     ],
     ids=[
         "no-eta",
@@ -79,6 +81,8 @@ def test_verify_rejects_missing_pairing_file(tmp_path, capsys):
         "string-rows",
         "bool-entry",
         "zero-denominator",
+        "bool-rank",
+        "float-rank",
     ],
 )
 def test_verify_rejects_malformed_pairing_file(tmp_path, capsys, content):

@@ -3,10 +3,11 @@
 import itertools
 import math
 import random
+import unittest.mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from hodgeflow import operators
@@ -344,6 +345,121 @@ def test_apply_window_consistency(seed, small, extra):
     op = random_operator(rng, 8)
     s = random_input(rng, small, 15)
     assert op.apply(s.truncated(big)).truncated(small) == op.apply(s)
+
+
+# -- the integer-numerator apply against the Fraction kernel it replaced ---------
+
+
+def _fraction_apply(op: Operator, s: Series) -> Series:
+    """Operator.apply summing Fraction products term by term (the reference for
+    the kernel that sums integer numerators over one denominator)."""
+    trunc = s.trunc
+    admits = trunc.admits
+    index: dict = {}
+    for (params, mult, deriv), c in op.atoms.items():
+        gain = Monomial(mult, params)
+        _, u, h, w = gain.grade()
+        index.setdefault(deriv[0][0] if deriv else None, []).append(
+            (u, h, w, deriv, dict(deriv), gain, c)
+        )
+    free = index.get(None)
+    out: dict[Monomial, Fraction] = {}
+    for mono, coeff in s.terms.items():
+        var_d = dict(mono.vars)
+        _, mu, mh, mw = mono.grade()
+        lu = trunc.max_u_degree - mu
+        lh = trunc.max_hbar_degree - mh
+        lw = trunc.max_omega_weight - mw
+        groups = [index[v] for v in var_d if v in index]
+        if free:
+            groups.append(free)
+        for group in groups:
+            for u, h, w, deriv, deriv_d, gain, acoeff in group:
+                if u > lu or h > lh or w > lw:
+                    continue
+                weight = 1
+                for v, k in deriv:
+                    e = var_d.get(v, 0)
+                    if e < k:
+                        break
+                    weight *= math.perm(e, k)
+                else:
+                    if deriv:
+                        rest = []
+                        for v, e in mono.vars:
+                            k = deriv_d.get(v, 0)
+                            if e > k:
+                                rest.append((v, e - k))
+                        new_mono = Monomial(tuple(rest), mono.params).mul(gain)
+                    else:
+                        new_mono = mono.mul(gain)
+                    if not admits(new_mono):
+                        continue
+                    factor = coeff * acoeff
+                    if weight != 1:
+                        factor *= weight
+                    acc = out.get(new_mono, 0) + factor
+                    if acc:
+                        out[new_mono] = acc
+                    else:
+                        del out[new_mono]
+    return Series(trunc, out, _clean=True)
+
+
+# large coprime and negative denominators, so that d_s and d_op both matter
+DENOMINATORS = [1, -1, 2, -3, 7, -12, 2**31 - 1, -(10**9 + 7), 999_983, -(2**61 - 1)]
+coefficients = st.builds(
+    Fraction, st.integers(-10**6, 10**6).filter(bool), st.sampled_from(DENOMINATORS)
+)
+# every atom carries a windowed parameter, so its exponential terminates
+first_order = st.builds(
+    lambda c, params, mult, v: Operator.atom(c, [(p, 1) for p in params], mult, [v]),
+    coefficients,
+    st.lists(st.sampled_from(PARAMS), min_size=1, max_size=2),
+    st.lists(st.sampled_from(VARS), max_size=2),
+    st.sampled_from(VARS),
+)
+hbar_contraction = st.builds(
+    lambda c, u, deriv: Operator.atom(c, [(PARAM_HBAR, 1), (PARAM_U, u)], deriv=deriv),
+    coefficients,
+    st.integers(0, 1),
+    st.lists(st.sampled_from(VARS), min_size=2, max_size=2),
+)
+monomials = st.builds(
+    lambda vars, params: Monomial.build(vars, [(p, 1) for p in params]),
+    st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=3),
+    st.lists(st.sampled_from(PARAMS), max_size=2),
+)
+
+
+# the explain phase, which only annotates a failure already found, takes
+# minutes on a wrong kernel; without it a failure is reported in seconds
+@settings(
+    max_examples=80, deadline=None, phases=[p for p in Phase if p is not Phase.explain]
+)
+@given(
+    trunc=st.sampled_from(WINDOWS),
+    atoms=st.lists(st.one_of(first_order, hbar_contraction), min_size=1, max_size=8),
+    terms=st.lists(st.tuples(monomials, coefficients), max_size=12),
+    pair_coeff=coefficients,
+    product_coeff=coefficients,
+)
+def test_apply_and_exp_apply_match_the_fraction_kernel(
+    trunc, atoms, terms, pair_coeff, product_coeff
+):
+    # u t0 d/dt0 - u t1 d/dt1 cancels on every t0 t1 term
+    t0, t1 = VARS[:2]
+    pair = [
+        Operator.atom(pair_coeff, [(PARAM_U, 1)], [t0], [t0]),
+        Operator.atom(-pair_coeff, [(PARAM_U, 1)], [t1], [t1]),
+    ]
+    op = Operator.sum(atoms + pair)
+    s = Series(trunc, terms + [(Monomial.build({t0: 1, t1: 1}), product_coeff)])
+    got, got_exp = op.apply(s), op.exp_apply(s)
+    with unittest.mock.patch.object(Operator, "apply", _fraction_apply):
+        assert got == op.apply(s)
+        assert got_exp == op.exp_apply(s)
+    assert all(got.terms.values()) and all(got_exp.terms.values())
 
 
 # -- commutator from contractions against the compose-based formula -------------
