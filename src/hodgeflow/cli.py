@@ -42,6 +42,9 @@ def _emit_reports(reports, fmt: str) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    for flag, count in (("--count-c", args.count_c), ("--count-r", args.count_r)):
+        if count < 0:
+            raise ValueError(f"{flag} must be >= 0")
     a = solve_a_coeffs(args.count_a)
     a_table = {str(m): str(v) for m, v in enumerate(a, start=1)}
     c_table = {str(i): str(c_const(i)) for i in range(args.count_c + 1)}
@@ -49,12 +52,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps({"a": a_table, "c": c_table, "r": r_table}, indent=2))
     else:
-        for m, v in a_table.items():
-            print(f"a_{m} = {v}")
-        for i, v in c_table.items():
-            print(f"C_{i} = {v}")
-        for i, v in r_table.items():
-            print(f"R_{i} = {v}")
+        for letter, table in (("a", a_table), ("C", c_table), ("R", r_table)):
+            for i, v in table.items():
+                print(f"{letter}_{i} = {v}")
     return 0
 
 
@@ -65,6 +65,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.genus_max < 0:
+        raise ValueError("--genus-max must be >= 0")
     rows = []
     for g in range(args.genus_max + 1):
         for n in range(1, args.max_insertions + 1):

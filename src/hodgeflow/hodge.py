@@ -29,6 +29,7 @@ from .series import (
     PARAM_X,
     PARAM_Y,
     ParamId,
+    Requirement,
     Series,
     Truncation,
     omega_param,
@@ -52,6 +53,7 @@ __all__ = [
     "factorization_cases",
     "verify_w_factorization",
     "verify_hat_t",
+    "HAT_T_WINDOW",
 ]
 
 
@@ -240,6 +242,9 @@ def verify_w_factorization(pairing: Pairing, trunc: Truncation) -> Report:
     return check("w-factorization", pairing.name, trunc, cases)
 
 
+HAT_T_WINDOW = Requirement("max_t_degree", 1, "hat-t check needs max_t_degree >= 1")
+
+
 def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
     """Shifted coordinates: operator action vs closed form, and the z-packaged identity.
 
@@ -249,10 +254,10 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
         coefficientwise in (z-power, color).
 
     Needs max_omega_weight >= n_max for the windowed check to be exact, and
-    max_t_degree >= 1 (t-degree 0 cuts each start t[n,a] but not -R_{n-1}).
+    HAT_T_WINDOW, t-degree >= 1 (t-degree 0 cuts each start t[n,a] but not -R_{n-1}).
     """
-    if trunc.max_t_degree < 1:
-        raise ValueError("hat-t check needs max_t_degree >= 1")
+    if not HAT_T_WINDOW.holds(trunc):
+        raise ValueError(HAT_T_WINDOW.reason)
     parts = w_omega_parts(pairing, trunc)
     p_shift = build_p(trunc)
 

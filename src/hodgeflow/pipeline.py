@@ -9,13 +9,14 @@ after; that separation is exactly what the bridge identity certifies.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
 from .hodge import (
+    HAT_T_WINDOW,
     build_p_u,
     build_shift_u,
     build_w_u,
@@ -34,6 +35,7 @@ from .series import (
     PARAM_U,
     PARAM_X,
     PARAM_Y,
+    Requirement,
     Series,
     Truncation,
     TruncationError,
@@ -57,7 +59,6 @@ from .virasoro import (
     bracket_cases,
     delta_map,
     raised_odd_case,
-    require_u_window,
     verify_virasoro_split,
 )
 from .witten import default_hbar_offset, z_point
@@ -177,6 +178,21 @@ def to_q_world(op: Operator, trunc: Truncation) -> Operator:
     return Operator(out, _clean=True)
 
 
+def _random_inputs(
+    pairing: Pairing, draw: Truncation, seeds: range, terms: int
+) -> Iterator[Series]:
+    """One random_series per seed over the t[i,a] with 2i+1 <= max_var_index and
+    hbar and u up to the window's: `terms` distinct terms, or every monomial it
+    can draw when the window holds fewer."""
+    support = (draw.max_var_index - 1) // 2
+    pool = [t_var(i, a) for i in range(support + 1) for a in pairing.colors()]
+    hbar, u = draw.max_hbar_degree, draw.max_u_degree
+    monomials = islice(basis_monomials(pool, draw.max_t_degree), terms)
+    count = min(terms, len(list(monomials)) * (hbar + 1) * (u + 1))
+    for seed in seeds:
+        yield random_series(seed, draw, count, pool, hbar, u)
+
+
 def bridge_cases(
     ctx: Context,
     n_max: int,
@@ -191,25 +207,16 @@ def bridge_cases(
     pairing, trunc = ctx.pairing, ctx.trunc
     if 2 * n_max + 1 > trunc.max_var_index:
         raise ValueError("bridge check needs max_var_index >= 2 n_max + 1")
-    max_random_index = (trunc.max_var_index - 1) // 2
-    pool = [
-        t_var(i, a) for i in range(max_random_index + 1) for a in pairing.colors()
-    ]
-    random_trunc = trunc.replace(max_t_degree=min(2, trunc.max_t_degree))
 
     def inputs():
         for n in range(0, n_max + 1):
             for a in pairing.colors():
                 yield f"bridge t[{n},{a}]", Series.of_var(trunc, t_var(n, a))
-        for i in range(random_count):
-            g = random_series(
-                seed + i,
-                random_trunc,
-                term_count=6,
-                variables=pool,
-                max_u=min(2, trunc.max_u_degree),
-            )
-            yield f"bridge random seed={seed + i}", g.truncated(trunc)
+        t, u = min(2, trunc.max_t_degree), min(2, trunc.max_u_degree)
+        draw = trunc.replace(max_t_degree=t, max_u_degree=u, max_hbar_degree=0)
+        seeds = range(seed, seed + random_count)
+        for s, g in zip(seeds, _random_inputs(pairing, draw, seeds, 6)):
+            yield f"bridge random seed={s}", g.truncated(trunc)
 
     for tag, g in inputs():
         lhs = change_vars(ctx.shift_u.exp_apply(ctx.p_u.exp_apply(g)))
@@ -249,11 +256,11 @@ def verify_theta_recoloring(pairing: Pairing, trunc: Truncation) -> Report:
     map, on x^i y^j for i, j <= 4."""
     pt = point_pairing()
 
+    top = min(4, (trunc.max_var_index - 1) // 2)
+
     def cases():
-        for i in range(0, 5):
-            for j in range(0, 5):
-                if 2 * max(i, j) + 1 > trunc.max_var_index:
-                    continue
+        for i in range(0, top + 1):
+            for j in range(0, top + 1):
                 xy = Series.of_monomial(
                     trunc, Monomial.build((), {PARAM_X: i, PARAM_Y: j})
                 )
@@ -381,7 +388,7 @@ def _hat_t_suite(ctx: Context, seed: int) -> list[Report]:
 
 def _brackets_suite(ctx: Context, seed: int) -> list[Report]:
     pairing, trunc = ctx.pairing, ctx.trunc
-    m_hi = max(1, trunc.max_var_index // 2)
+    m_hi = trunc.max_var_index // 2
     cases = (
         case
         for m in range(1, m_hi + 1)
@@ -450,43 +457,34 @@ def _theorem_suite(ctx: Context, seed: int) -> list[Report]:
                     [case],
                 )
             )
-    pool = [t_var(i, a) for i in range(support + 1) for a in pairing.colors()]
-    # the random inputs have 8 distinct terms, or every monomial they can be
-    # drawn from (pool variables, hbar powers) when the window holds fewer
-    monomials = basis_monomials(pool, trunc.max_t_degree)
-    drawable = len(list(islice(monomials, 8))) * (trunc.max_hbar_degree + 1)
-    randoms = (
-        random_series(
-            seed + 100 + i,
-            trunc,
-            term_count=min(8, drawable),
-            variables=pool,
-            max_hbar=trunc.max_hbar_degree,
-        )
-        for i in range(10)
-    )
-    cases = (main_identity_case(z, ctx) for z in randoms)
+    seeds = range(seed + 100, seed + 110)
+    randoms = _random_inputs(pairing, trunc.replace(max_u_degree=0), seeds, 8)
+    cases = (main_identity_case(z.truncated(trunc), ctx) for z in randoms)
     reports.append(check("theorem[random x10]", pairing.name, trunc, cases))
     reports.append(check("kernel-match", pairing.name, trunc, [kernel_match_case(ctx)]))
     return reports
 
 
-_SUITES: dict[str, Callable[[Context, int], list[Report]]] = {
-    "constants": _constants_suite,
-    "w-factorization": _w_factorization_suite,
-    "hat-t": _hat_t_suite,
-    "brackets": _brackets_suite,
-    "virasoro-split": _virasoro_split_suite,
-    "ex-closed-form": _ex_closed_form_suite,
-    "bridge": _bridge_suite,
-    "theorem": _theorem_suite,
+# X+ and Y+ start at u^1: a window closed in u holds none of them
+_RAISING = Requirement("max_u_degree", 1, "the raising operators need max_u_degree >= 1")
+# t[0,a] becomes q[1,a] at u = 0: the raised and substituted inputs start there
+_INPUTS = Requirement("max_var_index", 1, "the inputs need max_var_index >= 1")
+_BRACKETS = Requirement("max_var_index", 2, "bracket check needs max_var_index >= 2")
+# each suite and the window it is exact in; run_suite leaves it out of any other
+_SUITES: dict[str, tuple[Callable[[Context, int], list[Report]], tuple]] = {
+    "constants": (_constants_suite, ()),
+    "w-factorization": (_w_factorization_suite, ()),
+    "hat-t": (_hat_t_suite, (HAT_T_WINDOW,)),
+    "brackets": (_brackets_suite, (_BRACKETS,)),
+    "virasoro-split": (_virasoro_split_suite, (_RAISING,)),
+    "ex-closed-form": (_ex_closed_form_suite, (_RAISING, _INPUTS)),
+    "bridge": (_bridge_suite, (_RAISING, _INPUTS)),
+    "theorem": (_theorem_suite, (_RAISING, _INPUTS)),
 }
 ALL_SUITES = tuple(_SUITES)
-# the suites that read the raising operators (X+, L+ or the tower Q+)
-_RAISING_SUITES = frozenset({"virasoro-split", "ex-closed-form", "bridge", "theorem"})
 
 
-@dataclass
+@dataclasses.dataclass
 class VerificationConfig:
     """Window budgets, pairing, seed, and the suites to run."""
 
@@ -500,32 +498,30 @@ class VerificationConfig:
     suites: tuple[str, ...] = ALL_SUITES
 
     def truncation(self) -> Truncation:
-        return Truncation(
-            self.max_t_degree,
-            self.max_var_index,
-            self.max_u_degree,
-            self.max_hbar_degree,
-            self.max_omega_weight,
-        )
+        window = dataclasses.fields(Truncation)
+        return Truncation(**{f.name: getattr(self, f.name) for f in window})
 
 
 def run_suite(config: VerificationConfig) -> list[Report]:
-    """Run the selected suites; pairing problems are rejected before anything runs.
+    """Run the selected suites; the configuration is judged before any runs.
 
-    A window closed in u leaves out the suites of the raising operators, and
-    rejects the run if nothing else was selected.
+    A suite whose window misses one of its requirements is left out; the run
+    is rejected with the first one's reason when every selected suite is.
     """
     pairing = pairing_from_spec(config.pairing_spec)
     unknown = set(config.suites) - set(ALL_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    ctx = Context(pairing, config.truncation())
-    suites = config.suites
-    if ctx.trunc.max_u_degree < 1:
-        suites = [s for s in suites if s not in _RAISING_SUITES]
-        if not suites:
-            require_u_window(ctx.trunc)
+    repeated = {s for s in config.suites if config.suites.count(s) > 1}
+    if repeated:
+        raise ValueError(f"repeated suites: {sorted(repeated)}")
+    trunc = config.truncation()
+    unmet = {s: [r for r in _SUITES[s][1] if not r.holds(trunc)] for s in config.suites}
+    admitted = [s for s in config.suites if not unmet[s]]
+    if config.suites and not admitted:
+        raise ValueError(unmet[config.suites[0]][0].reason)
+    ctx = Context(pairing, trunc)
     reports: list[Report] = []
-    for suite in suites:
-        reports.extend(_SUITES[suite](ctx, config.seed))
+    for suite in admitted:
+        reports.extend(_SUITES[suite][0](ctx, config.seed))
     return reports

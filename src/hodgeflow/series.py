@@ -32,6 +32,7 @@ __all__ = [
     "ParamId",
     "Monomial",
     "Truncation",
+    "Requirement",
     "Series",
     "TruncationError",
     "t_var",
@@ -239,6 +240,17 @@ class Truncation:
 
     def replace(self, **kw: int) -> "Truncation":
         return dataclasses.replace(self, **kw)
+
+
+class Requirement(NamedTuple):
+    """A lower bound on a Truncation field, and why a window below it is refused."""
+
+    field: str
+    bound: int
+    reason: str
+
+    def holds(self, trunc: Truncation) -> bool:
+        return getattr(trunc, self.field) >= self.bound
 
 
 class Series:

@@ -260,16 +260,11 @@ def q_u(trunc: Truncation) -> Series:
     kernel = q_omega(wide)
     direct = kernel.substitute(single_lambda_rule(wide))
     at_b = kernel.substitute(single_lambda_rule(wide, u_per_weight=0))
-    scaled = at_b.substitute(
-        {
-            PARAM_X: Series.of_monomial(
-                wide, Monomial.build((), {PARAM_U: 2, PARAM_X: 1})
-            ),
-            PARAM_Y: Series.of_monomial(
-                wide, Monomial.build((), {PARAM_U: 2, PARAM_Y: 1})
-            ),
-        }
-    ).mul_monomial(Monomial.build((), {PARAM_U: 2}))
+    rescale = {
+        p: Series.of_monomial(wide, Monomial.build((), {PARAM_U: 2, p: 1}))
+        for p in (PARAM_X, PARAM_Y)
+    }
+    scaled = at_b.substitute(rescale).mul_monomial(Monomial.build((), {PARAM_U: 2}))
     if direct != scaled:
         raise CrossCheckError("u-coupling kernel disagrees with the rescaled kernel")
     return direct.truncated(trunc)

@@ -45,7 +45,6 @@ __all__ = [
     "build_y",
     "build_l",
     "u_weighted",
-    "require_u_window",
     "VirasoroBundle",
     "build_virasoro",
     "bracket_cases",
@@ -104,12 +103,6 @@ def u_weighted(
     )
 
 
-def require_u_window(trunc: Truncation) -> None:
-    """X+ and Y+ start at u^1: a window closed in u holds none of them."""
-    if trunc.max_u_degree < 1:
-        raise ValueError("the raising operators need max_u_degree >= 1")
-
-
 @dataclass(eq=False)
 class VirasoroBundle:
     """The raising operators of one window, each built on first use and then kept.
@@ -124,7 +117,6 @@ class VirasoroBundle:
 
     @functools.cached_property
     def a(self) -> tuple[Fraction, ...]:
-        require_u_window(self.trunc)
         return tuple(solve_a_coeffs(self.trunc.max_u_degree))
 
     @functools.cached_property

@@ -89,9 +89,7 @@ def intersection(g: int, ks: tuple[int, ...] | list[int]) -> Fraction:
     if got is not None:
         return got
     if g == 0 and ks == (0, 0, 0):
-        value = Fraction(1)
-        _MEMO[key] = value
-        return value
+        return Fraction(1)
     k = ks[-1]
     rest = ks[:-1]
     if k == 0:

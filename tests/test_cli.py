@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgeflow import special
+from hodgeflow import pipeline, special
 from hodgeflow.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +25,21 @@ def test_constants_rejects_an_empty_a_table(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "configuration rejected: count must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["constants", "--count-c", "-1"], "--count-c must be >= 0"),
+        (["constants", "--count-r", "-1"], "--count-r must be >= 0"),
+        (["oracle", "--genus-max", "-1"], "--genus-max must be >= 0"),
+    ],
+)
+def test_a_negative_table_size_is_rejected(argv, reason, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration rejected: {reason}\n"
 
 
 def test_verify_subset_exit_zero(capsys):
@@ -177,6 +192,41 @@ def test_hat_t_rejects_a_window_of_t_degree_0(capsys):
     assert captured.err == (
         "configuration rejected: hat-t check needs max_t_degree >= 1\n"
     )
+
+
+def test_verify_rejects_a_repeated_suite(capsys):
+    assert main(["verify", "--suite", "constants,brackets,constants"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration rejected: repeated suites: ['constants']\n"
+
+
+def test_verify_leaves_out_only_the_suites_a_window_refuses(capsys):
+    # index 1 is too small for [L1,L1] but holds every other default suite
+    argv = ["verify", "--pairing", "hyperbolic2", "--max-index", "1"]
+    assert main([*argv, "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    golden = json.loads((GOLDEN / "verify-hyperbolic2.json").read_text())
+    assert [r["identity"].split("(")[0] for r in reports] == [
+        r["identity"].split("(")[0]
+        for r in golden
+        if not r["identity"].startswith("brackets(")
+    ]
+    assert all(r["status"] == "pass" and r["cases"] >= 1 for r in reports)
+
+
+def test_a_refused_run_calls_no_suite(monkeypatch, capsys):
+    called = []
+    for name, (_, needs) in list(pipeline._SUITES.items()):
+        spy = lambda ctx, seed, _name=name: called.append(_name) or []
+        monkeypatch.setitem(pipeline._SUITES, name, (spy, needs))
+    assert main(["verify", "--suite", "brackets", "--max-index", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration rejected: bracket check needs max_var_index >= 2\n"
+    )
+    assert called == []
 
 
 def test_failed_internal_cross_check_exits_3(monkeypatch, capsys):

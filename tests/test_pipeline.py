@@ -459,6 +459,69 @@ def test_no_small_window_fails():
     assert failed == []
 
 
+# the window each suite needs, as lower bounds on Truncation fields; stated
+# here apart from pipeline._SUITES so that a changed bound fails a test
+NEEDS = {
+    "constants": {},
+    "w-factorization": {},
+    "hat-t": {"max_t_degree": 1},
+    "brackets": {"max_var_index": 2},
+    "virasoro-split": {"max_u_degree": 1},
+    "ex-closed-form": {"max_u_degree": 1, "max_var_index": 1},
+    "bridge": {"max_u_degree": 1, "max_var_index": 1},
+    "theorem": {"max_u_degree": 1, "max_var_index": 1},
+}
+
+
+def test_requirement_table_declares_each_suites_window():
+    declared = {
+        suite: {r.field: r.bound for r in needs}
+        for suite, (_, needs) in pipeline._SUITES.items()
+    }
+    assert declared == NEEDS
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    spec=st.sampled_from(["point", "hyperbolic2"]),
+    window=st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 5),
+        st.integers(0, 3),
+        st.integers(0, 1),
+        st.integers(0, 2),
+    ),
+)
+def test_each_suite_runs_exactly_where_its_requirements_hold(spec, window):
+    # each suite alone: refused with the reason of its first unmet requirement
+    # where one fails; elsewhere no guard of a case builder fires, and every
+    # report passes with at least one case
+    for suite in ALL_SUITES:
+        config = VerificationConfig(spec, *window, suites=(suite,))
+        trunc = config.truncation()
+        if not all(getattr(trunc, f) >= b for f, b in NEEDS[suite].items()):
+            needs = pipeline._SUITES[suite][1]
+            unmet = [r.reason for r in needs if not r.holds(trunc)]
+            with pytest.raises(ValueError) as refused:
+                run_suite(config)
+            assert [str(refused.value)] == unmet[:1], suite
+            continue
+        reports = run_suite(config)
+        assert reports, suite
+        assert all(r.passed and r.cases >= 1 for r in reports), [
+            r.summary_line() for r in reports
+        ]
+
+
+def test_random_inputs_hold_every_drawable_monomial_of_a_small_window():
+    # t[0] alone at t-degree 0 leaves 1, u and u^2 to draw (the bridge's draw
+    # window); with t-degree 1 and hbar <= 1 there are 1, t[0], hbar, hbar t[0]
+    point = point_pairing()
+    for draw, count in ((Truncation(0, 1, 2, 0, 0), 3), (Truncation(1, 2, 0, 1, 0), 4)):
+        randoms = pipeline._random_inputs(point, draw, range(5), 6)
+        assert [len(g.terms) for g in randoms] == [count] * 5
+
+
 @pytest.mark.parametrize("spec, towers", [("point", 1), ("hyperbolic2", 2)])
 def test_run_suite_builds_each_operator_once(monkeypatch, spec, towers):
     # the run's context builds each operator once; off the point pairing the
