@@ -65,8 +65,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.genus_max < 0:
-        raise ValueError("--genus-max must be >= 0")
+    for flag, value, least in (
+        ("--genus-max", args.genus_max, 0),
+        ("--max-insertions", args.max_insertions, 1),
+        ("--max-index", args.max_index, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}")
     rows = []
     for g in range(args.genus_max + 1):
         for n in range(1, args.max_insertions + 1):

@@ -53,7 +53,6 @@ __all__ = [
     "first_mismatch",
     "check",
     "exp_basis_cases",
-    "verify_zassenhaus_factorization",
 ]
 
 ExpTuple = tuple[tuple[VarId, int], ...]
@@ -393,28 +392,6 @@ class Operator:
                 return False
         return True
 
-    def is_var_shift_family(self) -> bool:
-        """One variable in, one derivative out, same kind and color per atom."""
-        for (_, mult, deriv) in self.atoms:
-            if len(mult) != 1 or len(deriv) != 1:
-                return False
-            (mv, me), (dv, de) = mult[0], deriv[0]
-            if me != 1 or de != 1:
-                return False
-            if mv.kind != dv.kind or mv.color != dv.color:
-                return False
-        return True
-
-    def is_pure_derivative(self, max_order: int = 2) -> bool:
-        """No multiplication part; derivative order between 1 and max_order."""
-        for (_, mult, deriv) in self.atoms:
-            if mult:
-                return False
-            order = sum(e for _, e in deriv)
-            if order < 1 or order > max_order:
-                return False
-        return True
-
     # -- rendering -----------------------------------------------------------------
 
     def sorted_atoms(self) -> list[tuple[AtomKey, Fraction]]:
@@ -553,27 +530,3 @@ def zassenhaus_tail(x_op: Operator, y_op: Operator, trunc: Truncation) -> Operat
     )
     return Operator.sum(term.scale(Fraction(1, j + 1)) for j, term in enumerate(tower))
 
-
-def verify_zassenhaus_factorization(
-    x_op: Operator,
-    y_op: Operator,
-    trunc: Truncation,
-    variables: Iterable[VarId],
-    pairing: str = "-",
-) -> Report:
-    """Check exp(x+y) = exp(x) exp(tail) on every basis monomial in the window.
-
-    Preconditions (checked): x is a variable-shift family, y is pure-derivative
-    of order <= 2, and [x, y] stays pure-derivative (abelian class).
-    """
-    if not x_op.is_var_shift_family():
-        raise OperatorClassError("left factor must be a variable-shift family")
-    if not (y_op.is_zero() or y_op.is_pure_derivative(max_order=2)):
-        raise OperatorClassError("right summand must be pure-derivative of order <= 2")
-    bracket = x_op.commutator(y_op)
-    if not (bracket.is_zero() or bracket.is_pure_derivative(max_order=2)):
-        raise OperatorClassError("[x, y] left the abelian class")
-
-    orders = [("exp(...)", [x_op, zassenhaus_tail(x_op, y_op, trunc)])]
-    cases = exp_basis_cases(x_op.add(y_op), orders, trunc, variables, trunc.max_t_degree)
-    return check("zassenhaus-special", pairing, trunc, cases)

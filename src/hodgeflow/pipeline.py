@@ -470,6 +470,8 @@ _RAISING = Requirement("max_u_degree", 1, "the raising operators need max_u_degr
 # t[0,a] becomes q[1,a] at u = 0: the raised and substituted inputs start there
 _INPUTS = Requirement("max_var_index", 1, "the inputs need max_var_index >= 1")
 _BRACKETS = Requirement("max_var_index", 2, "bracket check needs max_var_index >= 2")
+# at t-degree 0 every input is cut to a constant: no case holds a variable
+_VARIABLES = Requirement("max_t_degree", 1, "the inputs need max_t_degree >= 1")
 # each suite and the window it is exact in; run_suite leaves it out of any other
 _SUITES: dict[str, tuple[Callable[[Context, int], list[Report]], tuple]] = {
     "constants": (_constants_suite, ()),
@@ -477,9 +479,9 @@ _SUITES: dict[str, tuple[Callable[[Context, int], list[Report]], tuple]] = {
     "hat-t": (_hat_t_suite, (HAT_T_WINDOW,)),
     "brackets": (_brackets_suite, (_BRACKETS,)),
     "virasoro-split": (_virasoro_split_suite, (_RAISING,)),
-    "ex-closed-form": (_ex_closed_form_suite, (_RAISING, _INPUTS)),
-    "bridge": (_bridge_suite, (_RAISING, _INPUTS)),
-    "theorem": (_theorem_suite, (_RAISING, _INPUTS)),
+    "ex-closed-form": (_ex_closed_form_suite, (_RAISING, _INPUTS, _VARIABLES)),
+    "bridge": (_bridge_suite, (_RAISING, _INPUTS, _VARIABLES)),
+    "theorem": (_theorem_suite, (_RAISING, _INPUTS, _VARIABLES)),
 }
 ALL_SUITES = tuple(_SUITES)
 

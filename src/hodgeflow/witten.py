@@ -6,17 +6,18 @@ loop equation), normalized by <tau_0^3>_0 = 1.  The genus-one constant
 that it is forced by the base normalization is checked in the test suite by
 eliminating it between the recursion and the string equation.
 
-The exponential is taken once, of sum_g hbar^g F_g, with an explicit hbar
-offset so the series ring never needs negative exponents: the returned series
-equals hbar^offset * exp(sum_g hbar^{g-1} F_g) inside the window.
+The exponential is built by t-degree, with an explicit hbar offset so the
+series ring never needs negative exponents: the returned series equals
+hbar^offset * exp(sum_g hbar^{g-1} F_g) inside the window.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, count
+from functools import cache
 from typing import Iterator
 
 from .rationals import odd_double_factorial
@@ -25,7 +26,8 @@ from .series import (
     PARAM_HBAR,
     Series,
     Truncation,
-    exp_terms,
+    _accumulate,
+    _merge_exps,
     t_var,
 )
 
@@ -40,6 +42,7 @@ __all__ = [
 _MEMO: dict[tuple[int, tuple[int, ...]], Fraction] = {}
 
 
+@cache
 def _dfac(k: int) -> int:
     # (2k+1)!!
     return odd_double_factorial(k + 1)
@@ -74,20 +77,23 @@ def _sub_multisets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tu
     yield from rec(0, [], [], 1)
 
 
+def _insert(ks: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The sorted tuple ks with v added."""
+    i = bisect_right(ks, v)
+    return ks[:i] + (v,) + ks[i:]
+
+
 def intersection(g: int, ks: tuple[int, ...] | list[int]) -> Fraction:
     """<tau_{k_1} ... tau_{k_n}>_g for the point target; 0 off the dimension shell."""
-    if g < 0 or any(k < 0 for k in ks):
-        raise ValueError("invalid correlator key")
     key = (g, tuple(sorted(ks)))
-    ks = key[1]
-    n = len(ks)
-    if 2 * g - 2 + n <= 0:
-        return Fraction(0)
-    if not correlator_dimension_ok(g, ks):
-        return Fraction(0)
     got = _MEMO.get(key)
     if got is not None:
         return got
+    ks = key[1]
+    if g < 0 or (ks and ks[0] < 0):
+        raise ValueError("invalid correlator key")
+    if 2 * g - 2 + len(ks) <= 0 or not correlator_dimension_ok(g, ks):
+        return Fraction(0)
     if g == 0 and ks == (0, 0, 0):
         return Fraction(1)
     k = ks[-1]
@@ -95,46 +101,63 @@ def intersection(g: int, ks: tuple[int, ...] | list[int]) -> Fraction:
     if k == 0:
         # only the base case passes the dimension shell with all-zero insertions
         return Fraction(0)
-    total = Fraction(0)
-    # transfer onto each remaining insertion
-    for j, d in enumerate(rest):
-        new = rest[:j] + rest[j + 1 :] + (d + k - 1,)
-        total += Fraction(_dfac(d + k - 1), _dfac(d - 1)) * intersection(g, new)
-    # boundary terms: one handle less, or a stable split
+    # each term as (numerator, denominator) of twice its value, summed once
+    # over the lcm of the denominators
+    parts: list[tuple[int, int]] = []
+    # transfer onto each distinct remaining insertion, times its multiplicity;
+    # the weight (2d+2k-1)!!/(2d-1)!! is an integer
+    for d, mult in Counter(rest).items():
+        j = rest.index(d)
+        v = intersection(g, _insert(rest[:j] + rest[j + 1 :], d + k - 1))
+        w = 2 * mult * (_dfac(d + k - 1) // _dfac(d - 1))
+        parts.append((w * v.numerator, v.denominator))
+    # boundary terms, each weighted (2a+1)!!(2b+1)!!/2: one handle less, or a
+    # stable split
     if g >= 1:
         for a in range(0, k - 1):
             b = k - 2 - a
-            w = Fraction(_dfac(a) * _dfac(b), 2)
-            total += w * intersection(g - 1, rest + (a, b))
-    # the left factor's dimension shell fixes a, and then the right factor is
-    # on its shell too; 0 <= a <= k-2 also keeps both factors stable, so every
-    # other split contributes nothing
-    splits = list(_sub_multisets(rest))
-    for g1 in range(0, g + 1):
-        for left, right, ways in splits:
-            a = 3 * g1 - 2 + len(left) - sum(left)
-            if not 0 <= a <= k - 2:
-                continue
-            left_value = intersection(g1, left + (a,))
+            v = intersection(g - 1, _insert(_insert(rest, a), b))
+            parts.append((_dfac(a) * _dfac(b) * v.numerator, v.denominator))
+    # the left factor's dimension shell fixes a = 3*g1 + shift, and then the
+    # right factor is on its shell too; 0 <= a <= k-2 also keeps both factors
+    # stable, so every other split contributes nothing
+    for left, right, ways in _sub_multisets(rest):
+        shift = len(left) - sum(left) - 2
+        for g1 in range(max(0, -(shift // 3)), g + 1):
+            a = 3 * g1 + shift
+            if a > k - 2:
+                break
+            left_value = intersection(g1, _insert(left, a))
             if not left_value:
                 continue
             b = k - 2 - a
-            w = Fraction(_dfac(a) * _dfac(b), 2)
-            total += w * ways * left_value * intersection(g - g1, right + (b,))
-    # central constant of the dilaton-sector equation
+            right_value = intersection(g - g1, _insert(right, b))
+            parts.append((
+                _dfac(a) * _dfac(b) * ways * left_value.numerator * right_value.numerator,
+                left_value.denominator * right_value.denominator,
+            ))
+    # central constant 1/8 of the dilaton-sector equation, doubled
     if k == 1 and not rest and g == 1:
-        total += Fraction(1, 8)
-    value = total / _dfac(k)
+        parts.append((1, 4))
+    den = math.lcm(*(d for _, d in parts))
+    value = Fraction(sum(n * (den // d) for n, d in parts), 2 * _dfac(k) * den)
     _MEMO[key] = value
     return value
 
 
 def _insertion_multisets(
-    n: int, total: int, max_index: int
+    n: int, total: int, max_index: int, low: int = 0
 ) -> Iterator[tuple[int, ...]]:
-    for combo in combinations_with_replacement(range(min(total, max_index) + 1), n):
-        if sum(combo) == total:
-            yield combo
+    """The non-decreasing n-tuples of parts in low..max_index summing to total,
+    in lexicographic order."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    # the other n - 1 parts lie in first..max_index
+    for first in range(max(low, total - (n - 1) * max_index), min(max_index, total // n) + 1):
+        for tail in _insertion_multisets(n - 1, total - first, max_index, first):
+            yield (first,) + tail
 
 
 def genus_potential(g: int, trunc: Truncation) -> Series:
@@ -170,44 +193,41 @@ def z_point(
     hbar exponent non-negative; anything needing a lower exponent would exceed
     the t-degree window and is provably absent.
 
-    H = sum_g hbar^g F_g is exponentiated once, and its k-th power, divided by
-    hbar^k, is shifted by hbar^(offset - k).  H has no constant term, so H^k
-    vanishes for k > max_t_degree, and a window wider by max_t_degree in hbar
-    holds every term a shift brings back into this window.
+    Z = exp(G), G = sum_g hbar^{g-1} F_g, is built by t-degree: with G_j the
+    t-degree-j part of G and Y_n the stored t-degree-n part of Z,
+    n Y_n = sum_{j=1..n} j G_j Y_{n-j}, so each pair of terms is multiplied
+    once.  A genus-g term of G moves the stored hbar exponent by g - 1.
     """
     if offset is None:
         offset = default_hbar_offset(trunc)
-    wide = trunc.replace(max_hbar_degree=trunc.max_hbar_degree + trunc.max_t_degree)
-    h = Series.sum(
-        wide,
-        (
-            genus_potential(g, wide).mul_monomial(Monomial.build((), {PARAM_HBAR: g}))
-            for g in range(genus_max + 1)
-        ),
-    )
-    # a term of H^k is stored at hbar^(e + offset - k); a later genus-0 factor
-    # lowers that by 1 at a t-degree cost >= 3 and no other factor lowers it, so
-    # a term no later factor can bring back into the window is dropped early
-    ks = count(1)
-
-    def step(power: Series) -> Series:
-        k = next(ks)
-        kept = {}
-        for m, c in h.mul(power).terms.items():
-            d, _, e, _ = m.grade()
-            if e + offset - k - (trunc.max_t_degree - d) // 3 <= trunc.max_hbar_degree:
-                kept[m] = c
-        return Series(wide, kept, _clean=True)
-
-    error = ValueError("exp of the free energy outlived the t-degree window")
-    powers = exp_terms(Series.one(wide), step, trunc.max_t_degree + 1, error)
-    shifted = []
-    for k, power in enumerate(powers):
-        for m, c in power.terms.items():
-            stored = m.grade()[2] + offset - k
+    top = trunc.max_t_degree
+    # j G_j as (t-exponents, hbar move, coefficient) triples, by t-degree j
+    g_terms: list[list[tuple]] = [[] for _ in range(top + 1)]
+    for g in range(genus_max + 1):
+        for m, c in genus_potential(g, trunc).terms.items():
+            j = m.grade()[0]
+            g_terms[j].append((m.vars, g - 1, j * c))
+    # Y_n keyed by (t-exponents, stored hbar exponent).  A later genus-0 factor
+    # lowers the stored exponent by 1 at a t-degree cost >= 3 and no other
+    # factor lowers it, so a term no later factor can bring back into the
+    # window is dropped when it is made
+    layers = [{((), offset): Fraction(1)}]
+    for n in range(1, top + 1):
+        reach = trunc.max_hbar_degree + (top - n) // 3
+        out: dict[tuple, Fraction] = {}
+        for j in range(1, n + 1):
+            for (y_vars, y_e), y_c in layers[n - j].items():
+                for g_vars, move, g_c in g_terms[j]:
+                    e = y_e + move
+                    if e <= reach:
+                        _accumulate(out, (_merge_exps(y_vars, g_vars), e), y_c * g_c)
+        layers.append({key: c / n for key, c in out.items()})
+    terms = []
+    for layer in layers:
+        for (t_exps, stored), c in layer.items():
             if stored < 0:
                 raise ValueError(
                     "hbar offset too small for the window: raise offset or shrink degree"
                 )
-            shifted.append((Monomial.build(m.vars, {PARAM_HBAR: stored}), c))
-    return Series(trunc, shifted)
+            terms.append((Monomial.build(t_exps, {PARAM_HBAR: stored}), c))
+    return Series(trunc, terms)

@@ -33,6 +33,8 @@ def test_constants_rejects_an_empty_a_table(capsys):
         (["constants", "--count-c", "-1"], "--count-c must be >= 0"),
         (["constants", "--count-r", "-1"], "--count-r must be >= 0"),
         (["oracle", "--genus-max", "-1"], "--genus-max must be >= 0"),
+        (["oracle", "--max-insertions", "0"], "--max-insertions must be >= 1"),
+        (["oracle", "--max-index", "-1"], "--max-index must be >= 0"),
     ],
 )
 def test_a_negative_table_size_is_rejected(argv, reason, capsys):

@@ -242,7 +242,7 @@ def test_zassenhaus_tail_of_contraction_part_is_quantized_kernel():
 
 
 def test_zassenhaus_factorization_accepts_flow_parts():
-    from hodgeflow.operators import verify_zassenhaus_factorization
+    from test_operators import verify_zassenhaus_factorization
 
     tr = Truncation(2, 5, 4, 2, 3)
     parts = w_omega_parts(PT, tr)

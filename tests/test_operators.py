@@ -19,7 +19,6 @@ from hodgeflow.operators import (
     contraction,
     exp_basis_cases,
     first_mismatch,
-    verify_zassenhaus_factorization,
     zassenhaus_tail,
 )
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
@@ -39,6 +38,49 @@ from hodgeflow.hodge import build_w_u, w_omega_parts
 from hodgeflow.virasoro import build_virasoro
 
 TR = Truncation(3, 8, 6, 2, 4)
+
+
+def is_var_shift_family(op):
+    """One variable in, one derivative out, same kind and color per atom."""
+    for (_, mult, deriv) in op.atoms:
+        if len(mult) != 1 or len(deriv) != 1:
+            return False
+        (mv, me), (dv, de) = mult[0], deriv[0]
+        if me != 1 or de != 1:
+            return False
+        if mv.kind != dv.kind or mv.color != dv.color:
+            return False
+    return True
+
+
+def is_pure_derivative(op, max_order=2):
+    """No multiplication part; derivative order between 1 and max_order."""
+    for (_, mult, deriv) in op.atoms:
+        if mult:
+            return False
+        order = sum(e for _, e in deriv)
+        if order < 1 or order > max_order:
+            return False
+    return True
+
+
+def verify_zassenhaus_factorization(x_op, y_op, trunc, variables, pairing="-"):
+    """Check exp(x+y) = exp(x) exp(tail) on every basis monomial in the window.
+
+    Preconditions (checked): x is a variable-shift family, y is pure-derivative
+    of order <= 2, and [x, y] stays pure-derivative (abelian class).
+    """
+    if not is_var_shift_family(x_op):
+        raise OperatorClassError("left factor must be a variable-shift family")
+    if not (y_op.is_zero() or is_pure_derivative(y_op, max_order=2)):
+        raise OperatorClassError("right summand must be pure-derivative of order <= 2")
+    bracket = x_op.commutator(y_op)
+    if not (bracket.is_zero() or is_pure_derivative(bracket, max_order=2)):
+        raise OperatorClassError("[x, y] left the abelian class")
+
+    orders = [("exp(...)", [x_op, zassenhaus_tail(x_op, y_op, trunc)])]
+    cases = exp_basis_cases(x_op.add(y_op), orders, trunc, variables, trunc.max_t_degree)
+    return check("zassenhaus-special", pairing, trunc, cases)
 
 
 def test_apply_basic_derivative():

@@ -467,9 +467,9 @@ NEEDS = {
     "hat-t": {"max_t_degree": 1},
     "brackets": {"max_var_index": 2},
     "virasoro-split": {"max_u_degree": 1},
-    "ex-closed-form": {"max_u_degree": 1, "max_var_index": 1},
-    "bridge": {"max_u_degree": 1, "max_var_index": 1},
-    "theorem": {"max_u_degree": 1, "max_var_index": 1},
+    "ex-closed-form": {"max_u_degree": 1, "max_var_index": 1, "max_t_degree": 1},
+    "bridge": {"max_u_degree": 1, "max_var_index": 1, "max_t_degree": 1},
+    "theorem": {"max_u_degree": 1, "max_var_index": 1, "max_t_degree": 1},
 }
 
 

@@ -1,15 +1,20 @@
 """The point-case oracle: recursion values, classical equations, series assembly."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement, count
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgeflow import witten
-from hodgeflow.series import Monomial, PARAM_HBAR, Series, Truncation, t_var
+from hodgeflow.cli import main
+from hodgeflow.series import Monomial, PARAM_HBAR, Series, Truncation, exp_terms, t_var
 from hodgeflow.witten import (
     _dfac,
     _insertion_multisets,
@@ -153,7 +158,7 @@ def test_z_point_assembly():
 
 def test_z_point_offset_too_small_raises():
     tr = Truncation(3, 6, 0, 3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hbar offset too small for the window"):
         z_point(tr, genus_max=1, offset=0)
 
 
@@ -311,3 +316,173 @@ def test_z_point_matches_the_per_genus_strata_reference():
                         outcomes["raised" if want is ValueError else "equal"] += 1
     assert sum(outcomes.values()) == 480
     assert outcomes["raised"] and outcomes["equal"]
+
+
+# -- the first oracle, kept as the reference of the t-degree recurrence ---------
+
+_REFERENCE_MEMO = {}
+
+
+def _reference_intersection(g, ks):
+    """The recursion as first written: the key sorted on every entry, one
+    transfer term per insertion and Fraction weights throughout."""
+    if g < 0 or any(k < 0 for k in ks):
+        raise ValueError("invalid correlator key")
+    key = (g, tuple(sorted(ks)))
+    ks = key[1]
+    n = len(ks)
+    if 2 * g - 2 + n <= 0 or not correlator_dimension_ok(g, ks):
+        return Fraction(0)
+    got = _REFERENCE_MEMO.get(key)
+    if got is not None:
+        return got
+    if g == 0 and ks == (0, 0, 0):
+        return Fraction(1)
+    k, rest = ks[-1], ks[:-1]
+    if k == 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        new = rest[:j] + rest[j + 1 :] + (d + k - 1,)
+        total += Fraction(_dfac(d + k - 1), _dfac(d - 1)) * _reference_intersection(g, new)
+    if g >= 1:
+        for a in range(0, k - 1):
+            b = k - 2 - a
+            w = Fraction(_dfac(a) * _dfac(b), 2)
+            total += w * _reference_intersection(g - 1, rest + (a, b))
+    splits = list(_sub_multisets(rest))
+    for g1 in range(0, g + 1):
+        for left, right, ways in splits:
+            a = 3 * g1 - 2 + len(left) - sum(left)
+            if not 0 <= a <= k - 2:
+                continue
+            left_value = _reference_intersection(g1, left + (a,))
+            if not left_value:
+                continue
+            b = k - 2 - a
+            w = Fraction(_dfac(a) * _dfac(b), 2)
+            total += w * ways * left_value * _reference_intersection(g - g1, right + (b,))
+    if k == 1 and not rest and g == 1:
+        total += Fraction(1, 8)
+    value = total / _dfac(k)
+    _REFERENCE_MEMO[key] = value
+    return value
+
+
+def _reference_insertion_multisets(n, total, max_index):
+    for combo in combinations_with_replacement(range(min(total, max_index) + 1), n):
+        if sum(combo) == total:
+            yield combo
+
+
+def _reference_genus_potential(g, trunc):
+    terms = {}
+    for n in range(1, trunc.max_t_degree + 1):
+        want = 3 * g - 3 + n
+        if want < 0:
+            continue
+        for ks in _reference_insertion_multisets(n, want, trunc.max_var_index):
+            value = _reference_intersection(g, ks)
+            if not value:
+                continue
+            counts = Counter(ks)
+            mono = Monomial.build({t_var(k): e for k, e in counts.items()})
+            if trunc.admits(mono):
+                terms[mono] = value / prod(factorial(c) for c in counts.values())
+    return Series(trunc, terms)
+
+
+def _power_loop_z_point(trunc, genus_max, offset=None):
+    """Sum of H^k/k! for H = sum_g hbar^g F_g, one full product per power, each
+    power shifted by hbar^(offset - k)."""
+    if offset is None:
+        offset = default_hbar_offset(trunc)
+    wide = trunc.replace(max_hbar_degree=trunc.max_hbar_degree + trunc.max_t_degree)
+    h = Series.sum(
+        wide,
+        (
+            _reference_genus_potential(g, wide).mul_monomial(
+                Monomial.build((), {PARAM_HBAR: g})
+            )
+            for g in range(genus_max + 1)
+        ),
+    )
+    ks = count(1)
+
+    def step(power):
+        k = next(ks)
+        kept = {}
+        for m, c in h.mul(power).terms.items():
+            d, _, e, _ = m.grade()
+            if e + offset - k - (trunc.max_t_degree - d) // 3 <= trunc.max_hbar_degree:
+                kept[m] = c
+        return Series(wide, kept, _clean=True)
+
+    error = ValueError("exp of the free energy outlived the t-degree window")
+    powers = exp_terms(Series.one(wide), step, trunc.max_t_degree + 1, error)
+    shifted = []
+    for k, power in enumerate(powers):
+        for m, c in power.terms.items():
+            stored = m.grade()[2] + offset - k
+            if stored < 0:
+                raise ValueError(
+                    "hbar offset too small for the window: raise offset or shrink degree"
+                )
+            shifted.append((Monomial.build(m.vars, {PARAM_HBAR: stored}), c))
+    return Series(trunc, shifted)
+
+
+_ORACLE_WINDOWS = st.builds(
+    Truncation,
+    st.integers(0, 6),
+    st.integers(0, 9),
+    st.just(0),
+    st.integers(0, 4),
+    st.just(0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trunc=_ORACLE_WINDOWS, genus_max=st.integers(0, 3), raise_offset=st.integers(0, 1))
+@example(trunc=Truncation(6, 9, 0, 4, 0), genus_max=3, raise_offset=0)
+@example(trunc=Truncation(6, 9, 0, 4, 0), genus_max=3, raise_offset=1)
+def test_z_point_matches_the_power_loop_term_for_term(trunc, genus_max, raise_offset):
+    offset = default_hbar_offset(trunc) + raise_offset
+    want = _power_loop_z_point(trunc, genus_max, offset)
+    got = z_point(trunc, genus_max, offset)
+    assert got.terms == want.terms
+    if not raise_offset:
+        assert z_point(trunc, genus_max).terms == want.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(trunc=_ORACLE_WINDOWS, genus_max=st.integers(0, 3), offset=st.integers(-1, 2))
+def test_z_point_raises_where_the_power_loop_does(trunc, genus_max, offset):
+    # an offset below the default leaves a term of negative stored exponent
+    # whenever a genus-0 factor fits the window
+    want = _z_point_or_error(_power_loop_z_point, trunc, genus_max, offset)
+    got = _z_point_or_error(z_point, trunc, genus_max, offset)
+    if want is ValueError:
+        assert got is ValueError
+    else:
+        assert got.terms == want.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.integers(0, 3), n=st.integers(1, 6), max_index=st.integers(-1, 9))
+def test_oracle_keys_and_values_match_the_first_recursion(g, n, max_index):
+    want = 3 * g - 3 + n
+    keys = list(_insertion_multisets(n, want, max_index))
+    assert keys == list(_reference_insertion_multisets(n, want, max_index))
+    for ks in keys:
+        assert intersection(g, ks) == _reference_intersection(g, ks), (g, ks)
+
+
+def test_oracle_table_matches_the_genus_4_golden(capsys):
+    # the table of the first recursion, written before the recurrence replaced it
+    argv = ["oracle", "--genus-max", "4", "--max-insertions", "7", "--max-index", "12"]
+    assert main(argv) == 0
+    golden = Path(__file__).parent / "golden" / "oracle-g4.json"
+    out = capsys.readouterr().out
+    assert out == golden.read_text()
+    assert len(json.loads(out)) == 772
