@@ -1,7 +1,7 @@
 """Exact-arithmetic engine for the flow / raising-operator identities.
 
 Everything is computed over arbitrary-precision rationals inside finite
-truncation windows; every "verify" function compares both sides of an identity
+truncation windows; every check compares both sides of an identity
 coefficient by coefficient with zero tolerance.
 """
 

@@ -9,8 +9,8 @@ The flow generator splits into three graded pieces:
   pairing matrix.
 
 Exponentials of the whole generator factor exactly into the exponentials of
-the shift part, a quantized kernel, and a shift of coordinates; everything
-here is verified by applying both sides to the full monomial basis of the
+the shift part, a quantized kernel, and a shift of coordinates;
+factorization_cases compares both sides on the full monomial basis of the
 window.
 """
 
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .operators import Case, Operator, check, contraction, exp_basis_cases
+from .operators import Case, Operator, contraction, exp_basis_cases
 from .pairing import Pairing
-from .report import Report
 from .series import (
     Monomial,
     PARAM_HBAR,
@@ -35,7 +34,7 @@ from .series import (
     omega_param,
     t_var,
 )
-from .special import q_omega, r_poly, single_lambda_rule, u_wide
+from .special import r_poly, single_lambda_rule, u_wide
 
 __all__ = [
     "WOmegaParts",
@@ -51,8 +50,7 @@ __all__ = [
     "hat_t",
     "t_variables",
     "factorization_cases",
-    "verify_w_factorization",
-    "verify_hat_t",
+    "hat_t_cases",
     "HAT_T_WINDOW",
 ]
 
@@ -231,35 +229,27 @@ def factorization_cases(
     return exp_basis_cases(whole, orders, trunc, variables, trunc.max_t_degree)
 
 
-def verify_w_factorization(pairing: Pairing, trunc: Truncation) -> Report:
-    """factorization_cases at the formal couplings w[l]; the pipeline checks the
-    same identity at the single-lambda couplings as w-factorization[from_u]."""
-    parts = w_omega_parts(pairing, trunc)
-    kernel = theta_map(q_omega(trunc), pairing, trunc)
-    cases = factorization_cases(
-        pairing, trunc, parts.total(), parts.shift, kernel, build_p(trunc)
-    )
-    return check("w-factorization", pairing.name, trunc, cases)
-
-
 HAT_T_WINDOW = Requirement("max_t_degree", 1, "hat-t check needs max_t_degree >= 1")
 
 
-def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
+def hat_t_cases(
+    parts: WOmegaParts, p_shift: Operator, pairing: Pairing, trunc: Truncation, n_max: int
+) -> Iterator[Case]:
     """Shifted coordinates: operator action vs closed form, and the z-packaged identity.
 
-    (a) exp(shift) exp(coordinate shift) . t[n,a] equals the closed form;
+    (a) exp(shift) exp(p_shift) . t[n,a] equals the closed form;
     (b) the generating identity z g_0 + sum (-z)^n sum_a hat_t[n,a] g_a =
         (z g_0 + sum (-z)^n sum_a t[n,a] g_a) . sum_i R_i (-z)^i, compared
         coefficientwise in (z-power, color).
 
-    Needs max_omega_weight >= n_max for the windowed check to be exact, and
-    HAT_T_WINDOW, t-degree >= 1 (t-degree 0 cuts each start t[n,a] but not -R_{n-1}).
+    parts and p_shift are w_omega_parts and build_p at trunc.  Exact for every
+    n_max <= max_var_index at every coupling-weight window (w-weight only adds up).
+    Needs HAT_T_WINDOW: t-degree 0 cuts each start t[n,a] but not -R_{n-1}.
     """
     if not HAT_T_WINDOW.holds(trunc):
         raise ValueError(HAT_T_WINDOW.reason)
-    parts = w_omega_parts(pairing, trunc)
-    p_shift = build_p(trunc)
+    if n_max > trunc.max_var_index:
+        raise ValueError("hat-t check needs max_var_index >= n_max")
 
     def column_term(n: int, i: int, a: int) -> Series:
         # R_i (-z)^i times the (-z)^(n-i) coefficient of the bracket at color a
@@ -269,20 +259,17 @@ def verify_hat_t(pairing: Pairing, trunc: Truncation, n_max: int) -> Report:
             bracket = bracket.add(Series.one(trunc))
         return factor.mul(bracket)
 
-    def cases():
-        for n in range(0, n_max + 1):
-            for a in pairing.colors():
-                start = Series.of_var(trunc, t_var(n, a))
-                via_ops = parts.shift.exp_apply(p_shift.exp_apply(start))
-                yield f"coordinate shift t[{n},{a}]", via_ops, hat_t(n, a, trunc)
-        # (b) compare per z-power and color
-        for n in range(0, n_max + 1):
-            for a in pairing.colors():
-                lhs = hat_t(n, a, trunc).scale(Fraction((-1) ** n))
-                if n == 1 and a == 0:
-                    lhs = lhs.add(Series.one(trunc))
-                rhs = Series.sum(trunc, (column_term(n, i, a) for i in range(0, n + 1)))
-                yield f"z-series column (n={n}, a={a})", lhs, rhs
-
-    return check("hat-t", pairing.name, trunc, cases())
+    for n in range(0, n_max + 1):
+        for a in pairing.colors():
+            start = Series.of_var(trunc, t_var(n, a))
+            via_ops = parts.shift.exp_apply(p_shift.exp_apply(start))
+            yield f"coordinate shift t[{n},{a}]", via_ops, hat_t(n, a, trunc)
+    # (b) compare per z-power and color
+    for n in range(0, n_max + 1):
+        for a in pairing.colors():
+            lhs = hat_t(n, a, trunc).scale(Fraction((-1) ** n))
+            if n == 1 and a == 0:
+                lhs = lhs.add(Series.one(trunc))
+            rhs = Series.sum(trunc, (column_term(n, i, a) for i in range(0, n + 1)))
+            yield f"z-series column (n={n}, a={a})", lhs, rhs
 

@@ -17,13 +17,15 @@ from typing import Callable, Iterator
 
 from .hodge import (
     HAT_T_WINDOW,
+    WOmegaParts,
+    build_p,
     build_p_u,
     build_shift_u,
     build_w_u,
     factorization_cases,
+    hat_t_cases,
     theta_map,
-    verify_hat_t,
-    verify_w_factorization,
+    w_omega_parts,
 )
 from .operators import Case, Operator, OperatorClassError, check
 from .pairing import Pairing, pairing_from_spec, point_pairing
@@ -49,6 +51,7 @@ from .series import (
 from .special import (
     c_const,
     phi_tilde,
+    q_omega,
     q_u,
     rhs_target,
     flow_expansion,
@@ -59,7 +62,7 @@ from .virasoro import (
     bracket_cases,
     delta_map,
     raised_odd_case,
-    verify_virasoro_split,
+    split_cases,
 )
 from .witten import default_hbar_offset, z_point
 
@@ -71,8 +74,7 @@ __all__ = [
     "bridge_cases",
     "verify_substitution_bridge",
     "kernel_match_case",
-    "verify_kernel_match",
-    "verify_theta_recoloring",
+    "theta_recoloring_cases",
     "main_identity_case",
     "verify_hodge_to_gw",
     "log_true_coefficient",
@@ -91,6 +93,14 @@ class Context(VirasoroBundle):
     read, so rebinding one here (a negative control, the bench tracer) changes
     what the context builds.
     """
+
+    @functools.cached_property
+    def w_parts(self) -> WOmegaParts:
+        return w_omega_parts(self.pairing, self.trunc)
+
+    @functools.cached_property
+    def p(self) -> Operator:
+        return build_p(self.trunc)
 
     @functools.cached_property
     def w_u(self) -> Operator:
@@ -113,6 +123,7 @@ class Context(VirasoroBundle):
 def u_zero_substitute(s: Series) -> Series:
     """t[k,a] -> (2k-1)!! q[2k+1,a], term by term; raises if an index overflows."""
     trunc = s.trunc
+    reach = trunc.t_reach()
     out: dict[Monomial, Fraction] = {}
     for m, c in s.terms.items():
         factor = Fraction(1)
@@ -120,7 +131,7 @@ def u_zero_substitute(s: Series) -> Series:
         for v, e in m.vars:
             if v.kind != "t":
                 raise ValueError("u_zero substitution expects a t-world series")
-            if 2 * v.index + 1 > trunc.max_var_index:
+            if v.index > reach:
                 raise TruncationError("q-index 2k+1 exceeds the window")
             factor *= Fraction(odd_double_factorial(v.index)) ** e
             new_vars.append((q_var(2 * v.index + 1, v.color), e))
@@ -160,6 +171,7 @@ def to_q_world(op: Operator, trunc: Truncation) -> Operator:
 
     d/dt[k,a] -> 1/(2k-1)!! d/dq[2k+1,a].  Indices beyond the window drop.
     """
+    reach = trunc.t_reach()
     out: dict = {}
     for (params, mult, deriv), c in op.atoms.items():
         if mult:
@@ -169,7 +181,7 @@ def to_q_world(op: Operator, trunc: Truncation) -> Operator:
         for v, e in deriv:
             if v.kind != "t":
                 raise OperatorClassError("q-world transport expects t-derivatives")
-            if 2 * v.index + 1 > trunc.max_var_index:
+            if v.index > reach:
                 break
             factor /= Fraction(odd_double_factorial(v.index)) ** e
             new_deriv.append((q_var(2 * v.index + 1, v.color), e))
@@ -184,8 +196,7 @@ def _random_inputs(
     """One random_series per seed over the t[i,a] with 2i+1 <= max_var_index and
     hbar and u up to the window's: `terms` distinct terms, or every monomial it
     can draw when the window holds fewer."""
-    support = (draw.max_var_index - 1) // 2
-    pool = [t_var(i, a) for i in range(support + 1) for a in pairing.colors()]
+    pool = [t_var(i, a) for i in range(draw.t_reach() + 1) for a in pairing.colors()]
     hbar, u = draw.max_hbar_degree, draw.max_u_degree
     monomials = islice(basis_monomials(pool, draw.max_t_degree), terms)
     count = min(terms, len(list(monomials)) * (hbar + 1) * (u + 1))
@@ -205,7 +216,7 @@ def bridge_cases(
     t-degree <= 2.  Needs max_var_index >= 2 n_max + 1.
     """
     pairing, trunc = ctx.pairing, ctx.trunc
-    if 2 * n_max + 1 > trunc.max_var_index:
+    if n_max > trunc.t_reach():
         raise ValueError("bridge check needs max_var_index >= 2 n_max + 1")
 
     def inputs():
@@ -245,32 +256,17 @@ def kernel_match_case(ctx: Context) -> Case:
     return "kernel", to_q_world(ctx.kernel, ctx.trunc), ctx.q_plus_odd
 
 
-def verify_kernel_match(pairing: Pairing, trunc: Truncation) -> Report:
-    """kernel_match_case as one report."""
-    case = kernel_match_case(Context(pairing, trunc))
-    return check("kernel-match", pairing.name, trunc, [case])
-
-
-def verify_theta_recoloring(pairing: Pairing, trunc: Truncation) -> Report:
+def theta_recoloring_cases(pairing: Pairing, trunc: Truncation) -> Iterator[Case]:
     """Transporting the colored kernel map commutes with coloring the point kernel
     map, on x^i y^j for i, j <= 4."""
     pt = point_pairing()
-
-    top = min(4, (trunc.max_var_index - 1) // 2)
-
-    def cases():
-        for i in range(0, top + 1):
-            for j in range(0, top + 1):
-                xy = Series.of_monomial(
-                    trunc, Monomial.build((), {PARAM_X: i, PARAM_Y: j})
-                )
-                colored = to_q_world(theta_map(xy, pairing, trunc), trunc)
-                recolored = delta_map(
-                    to_q_world(theta_map(xy, pt, trunc), trunc), pairing
-                )
-                yield f"x^{i} y^{j}", colored, recolored
-
-    return check("theta-recoloring", pairing.name, trunc, cases())
+    top = min(4, trunc.t_reach())
+    for i in range(0, top + 1):
+        for j in range(0, top + 1):
+            xy = Series.of_monomial(trunc, Monomial.build((), {PARAM_X: i, PARAM_Y: j}))
+            colored = to_q_world(theta_map(xy, pairing, trunc), trunc)
+            recolored = delta_map(to_q_world(theta_map(xy, pt, trunc), trunc), pairing)
+            yield f"x^{i} y^{j}", colored, recolored
 
 
 def main_identity_case(z: Series, ctx: Context) -> Case:
@@ -282,7 +278,7 @@ def main_identity_case(z: Series, ctx: Context) -> Case:
     """
     trunc = z.trunc
     support = max((v.index for v in z.variables()), default=0)
-    if 2 * support + 1 > trunc.max_var_index:
+    if support > trunc.t_reach():
         raise ValueError("window too narrow: need max_var_index >= 2*support+1")
     lhs = change_vars(ctx.w_u.exp_apply(z))
     rhs = ctx.l_weighted.exp_apply(u_zero_substitute(z))
@@ -370,20 +366,25 @@ def _constants_suite(ctx: Context, seed: int) -> list[Report]:
 
 
 def _w_factorization_suite(ctx: Context, seed: int) -> list[Report]:
-    pairing, trunc = ctx.pairing, ctx.trunc
+    pairing, trunc, parts = ctx.pairing, ctx.trunc, ctx.w_parts
+    kernel = theta_map(q_omega(trunc), pairing, trunc)
+    formal = factorization_cases(
+        pairing, trunc, parts.total(), parts.shift, kernel, ctx.p
+    )
     from_u = factorization_cases(
         pairing, trunc, ctx.w_u, ctx.shift_u, ctx.kernel, ctx.p_u
     )
     return [
-        verify_w_factorization(pairing, trunc),
+        check("w-factorization", pairing.name, trunc, formal),
         check("w-factorization[from_u]", pairing.name, trunc, from_u),
     ]
 
 
 def _hat_t_suite(ctx: Context, seed: int) -> list[Report]:
-    trunc = ctx.trunc
+    pairing, trunc = ctx.pairing, ctx.trunc
     n_max = min(trunc.max_var_index, max(trunc.max_omega_weight, 1))
-    return [verify_hat_t(ctx.pairing, trunc, n_max)]
+    cases = hat_t_cases(ctx.w_parts, ctx.p, pairing, trunc, n_max)
+    return [check("hat-t", pairing.name, trunc, cases)]
 
 
 def _brackets_suite(ctx: Context, seed: int) -> list[Report]:
@@ -399,12 +400,12 @@ def _brackets_suite(ctx: Context, seed: int) -> list[Report]:
 
 
 def _virasoro_split_suite(ctx: Context, seed: int) -> list[Report]:
-    return [verify_virasoro_split(ctx)]
+    return [check("virasoro-split", ctx.pairing.name, ctx.trunc, split_cases(ctx))]
 
 
 def _ex_closed_form_suite(ctx: Context, seed: int) -> list[Report]:
     pairing, trunc = ctx.pairing, ctx.trunc
-    n_hi = min((trunc.max_var_index - 1) // 2, trunc.max_u_degree // 2)
+    n_hi = min(trunc.t_reach(), trunc.max_u_degree // 2)
     cases = (
         raised_odd_case(n, a, ctx)
         for n in range(0, n_hi + 1)
@@ -415,18 +416,18 @@ def _ex_closed_form_suite(ctx: Context, seed: int) -> list[Report]:
 
 def _bridge_suite(ctx: Context, seed: int) -> list[Report]:
     pairing, trunc = ctx.pairing, ctx.trunc
-    n_max = (trunc.max_var_index - 1) // 2
+    recoloring = theta_recoloring_cases(pairing, trunc)
     return [
-        check("bridge", pairing.name, trunc, bridge_cases(ctx, n_max, seed)),
+        check("bridge", pairing.name, trunc, bridge_cases(ctx, trunc.t_reach(), seed)),
         check("kernel-match", pairing.name, trunc, [kernel_match_case(ctx)]),
-        verify_theta_recoloring(pairing, trunc),
+        check("theta-recoloring", pairing.name, trunc, recoloring),
     ]
 
 
 def _theorem_suite(ctx: Context, seed: int) -> list[Report]:
     pairing, trunc = ctx.pairing, ctx.trunc
     reports: list[Report] = []
-    support = (trunc.max_var_index - 1) // 2
+    support = trunc.t_reach()
     if pairing.rank == 1 and pairing.eta[0][0] == 1:
         z_trunc = trunc.replace(max_var_index=support)
         offset = default_hbar_offset(z_trunc)

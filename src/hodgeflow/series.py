@@ -235,6 +235,10 @@ class Truncation:
             and w <= self.max_omega_weight
         )
 
+    def t_reach(self) -> int:
+        """The largest t-index k whose u = 0 image q[2k+1] is in the window."""
+        return (self.max_var_index - 1) // 2
+
     def as_dict(self) -> dict[str, int]:
         return dataclasses.asdict(self)
 

@@ -303,7 +303,7 @@ def phi(k: int) -> Series:
 
 def phi_tilde(k: int, color: int, trunc: Truncation) -> Series:
     """Shift polynomial with z^j replaced by q[j, color]; exact within the window."""
-    if 2 * k + 1 > trunc.max_var_index:
+    if k > trunc.t_reach():
         raise TruncationError("shift polynomial needs q-index up to 2k+1")
     terms = {}
     for (a, j), c in phi_coefficients(k).items():

@@ -16,20 +16,18 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .operators import (
     Case,
     Operator,
     OperatorClassError,
-    check,
     contraction,
     exp_basis_cases,
     zassenhaus_tail,
 )
 from .pairing import Pairing, point_pairing
 from .rationals import odd_double_factorial
-from .report import Report
 from .series import (
     Monomial,
     PARAM_HBAR,
@@ -48,12 +46,10 @@ __all__ = [
     "VirasoroBundle",
     "build_virasoro",
     "bracket_cases",
-    "verify_bracket",
     "delta_map",
     "odd_part",
-    "verify_virasoro_split",
+    "split_cases",
     "raised_odd_case",
-    "verify_raised_odd_variable",
     "q_variables",
 ]
 
@@ -190,12 +186,6 @@ def bracket_cases(m: int, n: int, pairing: Pairing, trunc: Truncation) -> list[C
     ]
 
 
-def verify_bracket(m: int, n: int, pairing: Pairing, trunc: Truncation) -> Report:
-    """The three cases of bracket_cases(m, n) as one report."""
-    cases = bracket_cases(m, n, pairing, trunc)
-    return check(f"bracket({m},{n})", pairing.name, trunc, cases)
-
-
 def delta_map(op_pt: Operator, pairing: Pairing) -> Operator:
     """Color a colorless second-order pure-derivative operator through the pairing:
 
@@ -217,39 +207,36 @@ def delta_map(op_pt: Operator, pairing: Pairing) -> Operator:
     return Operator.sum(parts)
 
 
-def verify_virasoro_split(bundle: VirasoroBundle) -> Report:
+def split_cases(bundle: VirasoroBundle) -> Iterator[Case]:
     """exp(sum a_m u^m L_m) = exp(X+) exp((hbar/2) Q+) on the q-monomial basis,
     plus the colored-vs-point compatibility Q+_odd = Delta(Q+^pt_odd)."""
     trunc = bundle.trunc
     pairing = bundle.pairing
     q_half = bundle.q_plus.scale(Fraction(1, 2), {PARAM_HBAR: 1})
-
-    def cases():
-        yield from exp_basis_cases(
-            bundle.l_weighted,
-            [("split", [bundle.x_plus, q_half])],
-            trunc,
-            q_variables(pairing, trunc),
-            trunc.max_t_degree,
-        )
-        pt_bundle = (
-            bundle
-            if pairing.rank == 1 and pairing.eta[0][0] == 1
-            else build_virasoro(point_pairing(), trunc)
-        )
-        recolored = delta_map(pt_bundle.q_plus_odd, pairing)
-        yield "odd tower vs recolored point tower", bundle.q_plus_odd, recolored
-
-    return check("virasoro-split", pairing.name, trunc, cases())
+    yield from exp_basis_cases(
+        bundle.l_weighted,
+        [("split", [bundle.x_plus, q_half])],
+        trunc,
+        q_variables(pairing, trunc),
+        trunc.max_t_degree,
+    )
+    pt_bundle = (
+        bundle
+        if pairing.rank == 1 and pairing.eta[0][0] == 1
+        else build_virasoro(point_pairing(), trunc)
+    )
+    recolored = delta_map(pt_bundle.q_plus_odd, pairing)
+    yield "odd tower vs recolored point tower", bundle.q_plus_odd, recolored
 
 
 def raised_odd_case(n: int, alpha: int, bundle: VirasoroBundle) -> Case:
     """exp(X+) . q[2n+1, a] = 1/(2n-1)!! sum_i C_i u^{2i} (shift polynomial)_{n-i}.
 
-    Exact once the u-window reaches 2n (the full polynomial degree).
+    Exact at every u-window: u-degree only adds up under products, so both
+    sides drop the same terms.  Needs max_var_index >= 2n+1.
     """
     trunc = bundle.trunc
-    if 2 * n + 1 > trunc.max_var_index:
+    if n > trunc.t_reach():
         raise ValueError("need max_var_index >= 2n+1")
     start = Series.of_var(trunc, q_var(2 * n + 1, alpha))
     lhs = bundle.x_plus.exp_apply(start)
@@ -263,11 +250,3 @@ def raised_odd_case(n: int, alpha: int, bundle: VirasoroBundle) -> Case:
         ),
     ).scale(Fraction(1, odd_double_factorial(n)))
     return f"raise q[{2*n+1},{alpha}]", lhs, rhs
-
-
-def verify_raised_odd_variable(
-    n: int, alpha: int, pairing: Pairing, trunc: Truncation
-) -> Report:
-    """raised_odd_case(n, alpha) as one report."""
-    case = raised_odd_case(n, alpha, build_virasoro(pairing, trunc))
-    return check(f"ex-closed-form(n={n},a={alpha})", pairing.name, trunc, [case])

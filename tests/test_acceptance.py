@@ -8,12 +8,16 @@ import random
 import time
 from fractions import Fraction
 
-from hodgeflow.hodge import build_w_u, verify_hat_t, verify_w_factorization
+from test_hodge import formal_factorization_cases
+
+from hodgeflow.hodge import build_p, build_w_u, hat_t_cases, w_omega_parts
+from hodgeflow.operators import check
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
 from hodgeflow.pipeline import (
+    Context,
+    kernel_match_case,
     log_true_coefficient,
     verify_hodge_to_gw,
-    verify_kernel_match,
     verify_substitution_bridge,
 )
 from hodgeflow.series import (
@@ -35,10 +39,10 @@ from hodgeflow.special import (
     solve_a_coeffs,
 )
 from hodgeflow.virasoro import (
+    bracket_cases,
     build_virasoro,
-    verify_bracket,
-    verify_raised_odd_variable,
-    verify_virasoro_split,
+    raised_odd_case,
+    split_cases,
 )
 from hodgeflow.witten import default_hbar_offset, intersection, z_point
 
@@ -90,26 +94,33 @@ def test_criterion_02_alternating_c_identity():
 def test_criterion_03_virasoro_brackets():
     started = time.time()
     trunc = Truncation(3, 12, 6, 2, 0)
-    ok = all(
-        verify_bracket(m, n, pairing, trunc).passed
-        for pairing in (PT, H2)
-        for m in range(1, 7)
-        for n in range(1, 7)
-    )
+    ok = True
+    for pairing in (PT, H2):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                cases = bracket_cases(m, n, pairing, trunc)
+                report = check(f"bracket({m},{n})", pairing.name, trunc, cases)
+                ok = ok and report.passed
     _report("criterion 3: bracket relation, m,n <= 6, both pairings", ok, started)
 
 
 def test_criterion_04_flow_factorization():
     started = time.time()
     trunc = Truncation(3, 8, 6, 2, 4)
-    ok = all(verify_w_factorization(p, trunc).passed for p in (PT, H2))
+    ok = True
+    for p in (PT, H2):
+        cases = formal_factorization_cases(p, trunc)
+        ok = ok and check("w-factorization", p.name, trunc, cases).passed
     _report("criterion 4: flow factorization on the full basis", ok, started)
 
 
 def test_criterion_05_hat_t():
     started = time.time()
     trunc = Truncation(3, 8, 0, 0, 8)
-    ok = all(verify_hat_t(p, trunc, 8).passed for p in (PT, H2))
+    ok = True
+    for p in (PT, H2):
+        cases = hat_t_cases(w_omega_parts(p, trunc), build_p(trunc), p, trunc, 8)
+        ok = ok and check("hat-t", p.name, trunc, cases).passed
     _report("criterion 5: shifted coordinates, n <= 8", ok, started)
 
 
@@ -142,7 +153,8 @@ def test_criterion_07_virasoro_split():
     ok = True
     for pairing in (PT, H2):
         bundle = build_virasoro(pairing, trunc)
-        ok = ok and verify_virasoro_split(bundle).passed
+        report = check("virasoro-split", pairing.name, trunc, split_cases(bundle))
+        ok = ok and report.passed
     _report("criterion 7: weighted-sum split and odd-tower recoloring", ok, started)
 
 
@@ -151,9 +163,12 @@ def test_criterion_08_raised_odd_variables():
     trunc = Truncation(1, 11, 10, 0, 0)
     ok = True
     for pairing in (PT, H2):
+        bundle = build_virasoro(pairing, trunc)
         for n in range(0, 6):
             for a in pairing.colors():
-                ok = ok and verify_raised_odd_variable(n, a, pairing, trunc).passed
+                case = raised_odd_case(n, a, bundle)
+                identity = f"ex-closed-form(n={n},a={a})"
+                ok = ok and check(identity, pairing.name, trunc, [case]).passed
     _report("criterion 8: closed raise formula, n <= 5, u <= 10", ok, started)
 
 
@@ -180,14 +195,16 @@ def test_criterion_10_main_identity():
     ok = ok and log_true_coefficient(
         flowed, offset, Monomial.build({t_var(0): 1}, {PARAM_U: 2})
     ) == Fraction(-1, 24)
-    ok = ok and verify_kernel_match(PT, trunc).passed
+    case = kernel_match_case(Context(PT, trunc))
+    ok = ok and check("kernel-match", PT.name, trunc, [case]).passed
     # (b) ten seeded random inputs over the rank-2 pairing
     trunc2 = Truncation(3, 7, 4, 2, 0)
     pool = [t_var(i, a) for i in range(4) for a in range(2)]
     for i in range(10):
         z_rand = random_series(1000 + i, trunc2, 8, variables=pool, max_hbar=2)
         ok = ok and verify_hodge_to_gw(z_rand, H2).passed
-    ok = ok and verify_kernel_match(H2, trunc2).passed
+    case = kernel_match_case(Context(H2, trunc2))
+    ok = ok and check("kernel-match", H2.name, trunc2, [case]).passed
     _report("criterion 10: end-to-end identity, geometric + random", ok, started)
 
 

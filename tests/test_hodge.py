@@ -3,7 +3,11 @@
 import hashlib
 from fractions import Fraction
 
-from hodgeflow import hodge
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodgeflow import pipeline
 from hodgeflow.hodge import (
     build_d,
     build_p,
@@ -13,11 +17,10 @@ from hodgeflow.hodge import (
     build_w_u,
     factorization_cases,
     hat_t,
+    hat_t_cases,
     instantiate_omega,
     theta_map,
     t_variables,
-    verify_hat_t,
-    verify_w_factorization,
     w_omega_parts,
 )
 from hodgeflow.operators import Operator, check, exp_basis_cases
@@ -190,13 +193,25 @@ def _ordered_tuples(n: int, max_weight: int):
             yield [l] + rest
 
 
+def formal_factorization_cases(pairing, trunc):
+    """factorization_cases at the formal couplings w[l], as the suite builds them."""
+    parts = w_omega_parts(pairing, trunc)
+    kernel = theta_map(q_omega(trunc), pairing, trunc)
+    p_shift = build_p(trunc)
+    return factorization_cases(
+        pairing, trunc, parts.total(), parts.shift, kernel, p_shift
+    )
+
+
 def test_w_factorization_small_windows():
     # the suite checks the coupled factorization and its single-lambda instance
     cfg = VerificationConfig("point", 2, 5, 4, 2, 3, suites=("w-factorization",))
     reports = run_suite(cfg)
     assert [r.identity for r in reports] == ["w-factorization", "w-factorization[from_u]"]
     assert all(r.passed for r in reports)
-    assert verify_w_factorization(H2, Truncation(2, 4, 4, 2, 3)).passed
+    tr = Truncation(2, 4, 4, 2, 3)
+    cases = formal_factorization_cases(H2, tr)
+    assert check("w-factorization", H2.name, tr, cases).passed
 
 
 def test_w_factorization_fails_when_only_the_q_p_order_holds():
@@ -300,8 +315,33 @@ def test_hat_t_examples():
 
 
 def test_hat_t_suite():
-    r = verify_hat_t(H2, Truncation(2, 6, 0, 0, 6), 6)
+    tr = Truncation(2, 6, 0, 0, 6)
+    cases = hat_t_cases(w_omega_parts(H2, tr), build_p(tr), H2, tr, 6)
+    r = check("hat-t", H2.name, tr, cases)
     assert r.passed
+    # past the index window t[7,a] is cut but hat_t(7, a) keeps R_i t[7-i,a]
+    with pytest.raises(ValueError, match="max_var_index >= n_max"):
+        list(hat_t_cases(w_omega_parts(H2, tr), build_p(tr), H2, tr, 7))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    pairing=st.sampled_from([PT, H2]),
+    weight=st.integers(1, 4),
+    data=st.data(),
+)
+def test_hat_t_holds_and_can_fail_at_weight_windows_below_n_max(pairing, weight, data):
+    # w-weight only adds up, so a coupling-weight window below n_max cuts both
+    # sides alike; doubling p's first atom, w[1] d/dt[2,0], shows at t[2,0]
+    n_max = data.draw(st.integers(weight + 1, 6))
+    tr = Truncation(2, 6, 0, 0, weight)
+    parts, p_shift = w_omega_parts(pairing, tr), build_p(tr)
+    cases = hat_t_cases(parts, p_shift, pairing, tr, n_max)
+    assert check("hat-t", pairing.name, tr, cases).passed
+    key, c = p_shift.sorted_atoms()[0]
+    doubled = p_shift.add(Operator({key: c}))
+    cases = hat_t_cases(parts, doubled, pairing, tr, n_max)
+    assert not check("hat-t", pairing.name, tr, cases).passed
 
 
 def test_flow_at_u_zero_is_identity():
@@ -413,14 +453,14 @@ def test_w_u_at_hbar_zero_is_the_exp_of_the_scaled_flow_generators():
 
 
 def test_hat_t_fails_on_a_doubled_coordinate_shift_atom(monkeypatch):
-    build_p = hodge.build_p
+    build_p = pipeline.build_p
 
     def doubled(trunc):
         p = build_p(trunc)
         key, c = p.sorted_atoms()[0]
         return p.add(Operator({key: c}))
 
-    monkeypatch.setattr(hodge, "build_p", doubled)
+    monkeypatch.setattr(pipeline, "build_p", doubled)
     (report,) = run_suite(VerificationConfig(suites=("hat-t",)))
     assert not report.passed
     # exp(p) . t[2,0] = t[2,0] + w[1] before the doubling

@@ -20,12 +20,11 @@ from hodgeflow.pipeline import (
     kernel_match_case,
     log_true_coefficient,
     run_suite,
+    theta_recoloring_cases,
     to_q_world,
     u_zero_substitute,
     verify_hodge_to_gw,
-    verify_kernel_match,
     verify_substitution_bridge,
-    verify_theta_recoloring,
 )
 from hodgeflow.operators import Operator, OperatorClassError, check
 from hodgeflow.report import Mismatch
@@ -47,6 +46,11 @@ from hodgeflow.witten import default_hbar_offset, z_point
 
 PT = point_pairing()
 H2 = hyperbolic2_pairing()
+
+
+def kernel_match_report(pairing, trunc):
+    case = kernel_match_case(Context(pairing, trunc))
+    return check("kernel-match", pairing.name, trunc, [case])
 
 
 def test_u_zero_substitution_examples():
@@ -208,7 +212,8 @@ def test_theta_recoloring_fails_on_a_one_color_theta_map(monkeypatch):
         return Operator.sum(atoms)
 
     monkeypatch.setattr(pipeline, "theta_map", first_color_theta)
-    r = verify_theta_recoloring(H2, VerificationConfig().truncation())
+    tr = VerificationConfig().truncation()
+    r = check("theta-recoloring", H2.name, tr, theta_recoloring_cases(H2, tr))
     assert not r.passed
     assert r.cases == 16
     assert len(r.mismatches) == 5
@@ -217,7 +222,7 @@ def test_theta_recoloring_fails_on_a_one_color_theta_map(monkeypatch):
 
 def test_kernel_match_both_pairings():
     for pairing in (PT, H2):
-        assert verify_kernel_match(pairing, Truncation(1, 8, 6, 0, 0)).passed
+        assert kernel_match_report(pairing, Truncation(1, 8, 6, 0, 0)).passed
 
 
 @pytest.mark.parametrize(
@@ -274,7 +279,8 @@ def test_bridge_closed_form_for_deep_coordinate():
 
 
 def test_theta_recoloring():
-    assert verify_theta_recoloring(H2, Truncation(1, 9, 0, 0, 0)).passed
+    tr = Truncation(1, 9, 0, 0, 0)
+    assert check("theta-recoloring", H2.name, tr, theta_recoloring_cases(H2, tr)).passed
 
 
 def test_main_identity_trivial_input():
@@ -522,15 +528,27 @@ def test_random_inputs_hold_every_drawable_monomial_of_a_small_window():
         assert [len(g.terms) for g in randoms] == [count] * 5
 
 
+def test_hodge_and_virasoro_only_generate_cases():
+    # every report is made in pipeline: the builder modules hand it cases
+    for module in (hodge, virasoro):
+        names = set(dir(module))
+        assert not names & {"check", "Report"}, module.__name__
+        assert not [n for n in names if n.startswith("verify_")], module.__name__
+
+
 @pytest.mark.parametrize("spec, towers", [("point", 1), ("hyperbolic2", 2)])
 def test_run_suite_builds_each_operator_once(monkeypatch, spec, towers):
     # the run's context builds each operator once; off the point pairing the
-    # split also builds the point pairing's tower
+    # split also builds the point pairing's tower.  w_omega_parts runs once
+    # for the context and once inside each of build_w_u and build_shift_u;
+    # build_p once for the context and once inside build_p_u
     calls = collections.Counter()
     for home, name in (
         (hodge, "build_w_u"),
         (hodge, "build_shift_u"),
         (hodge, "build_p_u"),
+        (hodge, "w_omega_parts"),
+        (hodge, "build_p"),
         (special, "q_u"),
         (operators, "zassenhaus_tail"),
     ):
@@ -557,6 +575,8 @@ def test_run_suite_builds_each_operator_once(monkeypatch, spec, towers):
         "build_w_u": 1,
         "build_shift_u": 1,
         "build_p_u": 1,
+        "w_omega_parts": 3,
+        "build_p": 2,
         "q_u": 1,
         "zassenhaus_tail": towers,
     }
@@ -631,20 +651,20 @@ def test_pairing_file_roundtrip(tmp_path):
 def test_rank_three_pairing_with_rational_entries():
     # exercises exact inversion with pivot swaps and non-unit inverse entries
     from hodgeflow.pairing import Pairing
-    from hodgeflow.virasoro import verify_bracket
+    from hodgeflow.virasoro import bracket_cases
 
     eta3 = Pairing("rank3", [[0, 0, 1], [0, 2, 0], [1, 0, 0]])
     assert eta3.eta_inv[1][1] == Fraction(1, 2)
     tr = Truncation(2, 6, 3, 2, 0)
-    assert verify_bracket(1, 2, eta3, tr).passed
-    assert verify_kernel_match(eta3, Truncation(1, 7, 4, 0, 0)).passed
+    assert check("bracket(1,2)", eta3.name, tr, bracket_cases(1, 2, eta3, tr)).passed
+    assert kernel_match_report(eta3, Truncation(1, 7, 4, 0, 0)).passed
     pool = [t_var(i, a) for i in range(3) for a in range(3)]
     z = random_series(71, tr, 6, variables=pool, max_hbar=2)
     assert verify_hodge_to_gw(z, eta3).passed
 
 
 def test_report_json_schema():
-    r = verify_kernel_match(PT, Truncation(1, 6, 4, 0, 0))
+    r = kernel_match_report(PT, Truncation(1, 6, 4, 0, 0))
     d = r.as_dict()
     assert set(d) == {"identity", "pairing", "truncation", "status", "cases", "mismatches"}
     assert d["status"] == "pass"

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeflow import virasoro
-from hodgeflow.operators import Operator, OperatorClassError
+from hodgeflow.operators import Operator, OperatorClassError, check
 from hodgeflow.pairing import hyperbolic2_pairing, point_pairing
 from hodgeflow.pipeline import VerificationConfig, run_suite
 from hodgeflow.report import Mismatch
@@ -16,16 +18,17 @@ from hodgeflow.series import (
     Truncation,
     q_var,
 )
+from hodgeflow.special import c_const
 from hodgeflow.virasoro import (
+    bracket_cases,
     build_l,
     build_virasoro,
     build_x,
     build_y,
     delta_map,
     odd_part,
-    verify_bracket,
-    verify_raised_odd_variable,
-    verify_virasoro_split,
+    raised_odd_case,
+    split_cases,
 )
 
 PT = point_pairing()
@@ -52,8 +55,9 @@ def test_y_point_values():
 
 def test_bracket_relation_samples():
     for pairing in (PT, H2):
-        assert verify_bracket(1, 2, pairing, TRQ).passed
-        assert verify_bracket(2, 5, pairing, TRQ).passed
+        for m, n in ((1, 2), (2, 5)):
+            cases = bracket_cases(m, n, pairing, TRQ)
+            assert check(f"bracket({m},{n})", pairing.name, TRQ, cases).passed
 
 
 def test_bracket_antisymmetry_diagonal():
@@ -150,17 +154,17 @@ def test_q_plus_recoloring():
 def test_virasoro_split_small():
     for pairing in (PT, H2):
         b = build_virasoro(pairing, Truncation(2, 6, 4, 2, 0))
-        assert verify_virasoro_split(b).passed
+        assert check("virasoro-split", pairing.name, b.trunc, split_cases(b)).passed
 
 
 @pytest.mark.parametrize("pairing", [PT, H2], ids=["point", "hyperbolic2"])
 def test_virasoro_split_fails_on_perturbed_tower(pairing):
     b = build_virasoro(pairing, Truncation(2, 6, 4, 2, 0))
-    passing = verify_virasoro_split(b)
+    passing = check("virasoro-split", pairing.name, b.trunc, split_cases(b))
     # only the split's tower is perturbed; the odd tower stays as built
     key, _ = b.q_plus.sorted_atoms()[0]
     b.q_plus = b.q_plus.add(Operator({key: Fraction(1)}))
-    r = verify_virasoro_split(b)
+    r = check("virasoro-split", pairing.name, b.trunc, split_cases(b))
     assert not r.passed
     assert r.mismatches and r.mismatches[0].monomial.startswith("split")
     assert r.cases == passing.cases
@@ -171,7 +175,7 @@ def test_virasoro_split_doubled_towers_counts_every_case():
     # 91 basis monomials plus the recoloring case, whatever fails
     b = build_virasoro(H2, Truncation(2, 6, 6, 1, 0))
     b.q_plus, b.q_plus_odd = b.q_plus.scale(2), b.q_plus_odd.scale(2)
-    r = verify_virasoro_split(b)
+    r = check("virasoro-split", H2.name, b.trunc, split_cases(b))
     assert not r.passed
     assert r.cases == 92
     assert len(r.mismatches) == 5
@@ -187,9 +191,14 @@ def test_split_reduces_to_x_plus_on_hbar_free_slice():
     assert b.l_weighted.exp_apply(s) == b.x_plus.exp_apply(s)
 
 
+def raised_odd_report(n, alpha, pairing, trunc):
+    case = raised_odd_case(n, alpha, build_virasoro(pairing, trunc))
+    return check(f"ex-closed-form(n={n},a={alpha})", pairing.name, trunc, [case])
+
+
 def test_raised_odd_variable_base_case():
     tr = Truncation(1, 12, 2, 0, 0)
-    assert verify_raised_odd_variable(0, 0, PT, tr).passed
+    assert raised_odd_report(0, 0, PT, tr).passed
     b = build_virasoro(PT, tr)
     q1 = Series.of_var(tr, q_var(1))
     assert b.x_plus.exp_apply(q1) == q1
@@ -197,9 +206,32 @@ def test_raised_odd_variable_base_case():
 
 def test_raised_odd_variable_samples():
     tr = Truncation(1, 12, 8, 0, 0)
-    assert verify_raised_odd_variable(1, 0, PT, tr).passed
-    assert verify_raised_odd_variable(3, 0, PT, tr).passed
-    assert verify_raised_odd_variable(1, 1, H2, tr).passed
+    assert raised_odd_report(1, 0, PT, tr).passed
+    assert raised_odd_report(3, 0, PT, tr).passed
+    assert raised_odd_report(1, 1, H2, tr).passed
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    pairing=st.sampled_from([PT, H2]),
+    degree=st.integers(1, 3),
+    n=st.integers(2, 4),
+    data=st.data(),
+)
+def test_raised_odd_variable_holds_and_can_fail_below_u_degree_2n(
+    pairing, degree, n, data
+):
+    # u-degree only adds up, so a u-window below 2n cuts both sides alike; from
+    # u^2 on, C_1 u^2 (shift polynomial)_{n-1} is in it and a wrong C_1 shows
+    u = data.draw(st.integers(2, 2 * n - 1))
+    alpha = data.draw(st.sampled_from(list(pairing.colors())))
+    tr = Truncation(degree, 9, u, 1, 0)
+    assert raised_odd_report(n, alpha, pairing, tr).passed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            virasoro, "c_const", lambda i: c_const(i) + 1 if i == 1 else c_const(i)
+        )
+        assert not raised_odd_report(n, alpha, pairing, tr).passed
 
 
 def test_raised_q3_explicit():
